@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum, prod
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyInput, FrameMismatch, ModeUnsupported, TotalConflict
 from .evidence import Frame, HypothesisSet, MassFunction
@@ -121,6 +121,39 @@ def combine_all(
         steps.append(step.conflict)
     total = 1.0 - prod(1.0 - k for k in steps)
     return CombinationResult(combined, total, tuple(steps))
+
+
+def combine_binary(
+    sources: Sequence[tuple[float, float, float]],
+    mode: CombinationMode = CombinationMode.STANDARD,
+) -> tuple[float, float, float]:
+    """Closed-form :func:`combine_all` on a binary frame.
+
+    Each source is a (first, second, both) mass triple, such as the
+    (fraud, genuine, either) masses of a rule, and the fold runs in input
+    order. Each step is divided by its surviving sum, so the running triple
+    stays a unit of mass however long the fold. Returns (bel, pl, conflict)
+    of the first hypothesis, with 0 <= bel <= pl <= 1 and conflict
+    1 - prod(1 - K_i). Agrees with the generic fold to rounding, not to the
+    last bit.
+    """
+    if not sources:
+        raise EmptyInput("need at least one mass triple to combine")
+    pooled = mode is CombinationMode.SIMPLIFIED
+    f, g, u = sources[0]
+    kept = 1.0
+    for f2, g2, u2 in sources[1:]:
+        k = f * g2 + g * f2
+        if k >= TOTAL_CONFLICT_LIMIT:
+            raise TotalConflict(f"sources are in total conflict (K = {k!r})")
+        if pooled:
+            f, g, u = f * f2, g * g2, (f + g) * u2 + u * (f2 + g2 + u2)
+        else:
+            f, g, u = f * (f2 + u2) + u * f2, g * (g2 + u2) + u * g2, u * u2
+        total = f + g + u
+        f, g, u = f / total, g / total, u / total
+        kept *= 1.0 - k
+    return f, min(f + u, 1.0), 1.0 - kept
 
 
 def _require_common_frame(m1: MassFunction, m2: MassFunction) -> Frame:

@@ -4,11 +4,14 @@ classify against a threshold, and rank the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple, Sequence, Union
+from dataclasses import dataclass, field
+from math import isfinite
+from typing import Mapping, NamedTuple, Sequence, TypeVar, Union
 
 from .bayes import BayesModel, posterior
-from .combination import CombinationMode, combine_all
+# combine_all is no longer called here, but it stays a module attribute
+# beside masses_for: bench/tracing.py wraps both by name.
+from .combination import CombinationMode, combine_all, combine_binary  # noqa: F401
 from .errors import NoEvidence, UnknownRule
 from .evidence import Frame, MassFunction
 
@@ -37,8 +40,11 @@ class RuleSpec:
         if not self.id:
             raise ValueError("rule id must be non-empty")
         for name in ("m_fraud", "m_genuine", "m_uncertain"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"rule {self.id!r}: {name} must be >= 0")
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"rule {self.id!r}: {name} must be finite and >= 0, got {value!r}"
+                )
         total = self.m_fraud + self.m_genuine + self.m_uncertain
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"rule {self.id!r}: masses sum to {total!r}, expected 1")
@@ -51,7 +57,7 @@ class RuleSpec:
         uncertainty: float = 0.0,
         description: str = "",
     ) -> "RuleSpec":
-        if not 0.0 <= score <= 1.0:
+        if not 0.0 <= score <= 1.0:  # also rejects NaN
             raise ValueError(f"rule {rule_id!r}: score must be in [0, 1], got {score!r}")
         if not 0.0 <= uncertainty <= 1.0:
             raise ValueError(
@@ -86,11 +92,18 @@ Combiner = Union[DempsterCombiner, BayesCombiner]
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Immutable scoring configuration: rules, combiner choice, threshold."""
+    """Immutable scoring configuration: rules, combiner choice, threshold.
+
+    ``triples`` holds each rule's (fraud, genuine, either) masses, read once
+    from its validated mass function, for the closed-form Dempster fold.
+    """
 
     rules: Mapping[str, RuleSpec]
     combiner: Combiner
     threshold: float = 0.5
+    triples: Mapping[str, tuple[float, float, float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         rules = dict(self.rules)
@@ -100,6 +113,9 @@ class RuleSet:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
         object.__setattr__(self, "rules", rules)
+        object.__setattr__(
+            self, "triples", {rule_id: _triple(spec) for rule_id, spec in rules.items()}
+        )
 
     @classmethod
     def from_rules(
@@ -175,25 +191,22 @@ def masses_for(ruleset: RuleSet, txn: Transaction) -> list[MassFunction]:
     vacuous mass is neutral anyway, and under simplified combination it would
     wrongly annihilate singleton support.
     """
-    specs = _triggered_specs(ruleset, txn)
-    return [spec.to_mass() for spec in specs]
+    return [spec.to_mass() for spec in _triggered(ruleset.rules, txn)]
 
 
 def score(ruleset: RuleSet, txn: Transaction) -> ScoreReport:
     """Fuse one transaction's triggered rules into a classified report."""
     combiner = ruleset.combiner
     if isinstance(combiner, BayesCombiner):
-        _triggered_specs(ruleset, txn)
+        _triggered(ruleset.rules, txn)
         fused = posterior(combiner.model, txn.triggered)
         bel = pl = point = fused.p_fraud
         discarded = 0.0
         n_sources = len(set(txn.triggered))
     else:
-        outcome = combine_all(masses_for(ruleset, txn), combiner.mode)
-        interval = outcome.mass.interval(_FRAUD)
-        bel, pl = interval.bel, interval.pl
+        sources = _triggered(ruleset.triples, txn)
+        bel, pl, discarded = combine_binary(sources, combiner.mode)
         point = bel
-        discarded = outcome.conflict
         n_sources = len(txn.triggered)
     flags = classify(bel, pl, ruleset.threshold)
     return ScoreReport(
@@ -218,16 +231,42 @@ def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
     ordered = sorted(
         reports, key=lambda r: (-r.bel_fraud, -r.pl_fraud, r.transaction_id)
     )
-    return [replace(r, rank=position) for position, r in enumerate(ordered, start=1)]
+    return [
+        ScoreReport(
+            r.transaction_id,
+            r.bel_fraud,
+            r.pl_fraud,
+            r.point_estimate,
+            r.conflict,
+            r.n_sources,
+            r.suspicious,
+            r.confirmed,
+            position,
+            r.payload,
+        )
+        for position, r in enumerate(ordered, start=1)
+    ]
 
 
-def _triggered_specs(ruleset: RuleSet, txn: Transaction) -> list[RuleSpec]:
+def _triple(spec: RuleSpec) -> tuple[float, float, float]:
+    m = spec.to_mass()
+    return m.mass(_FRAUD), m.mass(_GENUINE), m.mass(_EITHER)
+
+
+_T = TypeVar("_T")
+
+
+def _triggered(table: Mapping[str, _T], txn: Transaction) -> list[_T]:
+    """The table's entry for each triggered rule, in trigger order.
+
+    Every id is resolved before anything is fused, so an unknown rule is
+    reported ahead of any conflict between the known ones.
+    """
     if not txn.triggered:
         raise NoEvidence(f"transaction {txn.id!r} triggered no rules")
-    specs = []
-    for rule_id in txn.triggered:
-        spec = ruleset.rules.get(rule_id)
-        if spec is None:
-            raise UnknownRule(f"transaction {txn.id!r} triggered unknown rule {rule_id!r}")
-        specs.append(spec)
-    return specs
+    try:
+        return [table[rule_id] for rule_id in txn.triggered]
+    except KeyError as exc:
+        raise UnknownRule(
+            f"transaction {txn.id!r} triggered unknown rule {exc.args[0]!r}"
+        ) from None

@@ -278,6 +278,27 @@ class TestScore:
         assert status == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            {"m_fraud": float("nan"), "m_genuine": 0.5},
+            {"m_fraud": 0.5, "m_genuine": 0.5, "m_uncertain": float("inf")},
+            {"score": float("nan")},
+            {"score": 0.5, "uncertainty": float("-inf")},
+        ],
+    )
+    def test_non_finite_rule_exits_2_naming_rule(self, capsys, tmp_path, rule):
+        config = write(
+            tmp_path / "rules.json",
+            json.dumps({"rules": [{"id": "R1", "score": 0.8}, {"id": "BAD", **rule}]}),
+        )
+        batch = write(tmp_path / "batch.jsonl", '{"id": "t1", "triggered": ["BAD"]}\n')
+        status, out, err = run_cli(capsys, "score", config, batch)
+        assert status == 2
+        assert out == ""
+        assert "rule 'BAD'" in err
+        assert "Traceback" not in err
+
     def test_payload_passthrough_in_jsonl(self, capsys, tmp_path):
         config = write(
             tmp_path / "rules.json", json.dumps({"rules": [{"id": "R1", "score": 0.8}]})

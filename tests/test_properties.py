@@ -5,6 +5,7 @@ hypotheses and random fitted models; every invariant here is checked across
 the whole space, not just the worked examples.
 """
 
+from fractions import Fraction
 from math import fsum, prod
 
 import pytest
@@ -15,6 +16,7 @@ from scorefusion import (
     BayesModel,
     CombinationMode,
     DempsterCombiner,
+    FRAUD_FRAME,
     Frame,
     HypothesisSet,
     MassFunction,
@@ -25,14 +27,15 @@ from scorefusion import (
     classify,
     combine_all,
     combine_pair,
+    masses_for,
     posterior,
     posterior_log,
     rank,
     score,
 )
-from scorefusion.errors import TotalConflict
+from scorefusion.errors import NotNormalized, TotalConflict
 
-from oracles import brute_belief, brute_combine, brute_plausibility
+from oracles import brute_belief, brute_combine, brute_plausibility, exact_binary_fold
 
 STANDARD = CombinationMode.STANDARD
 SIMPLIFIED = CombinationMode.SIMPLIFIED
@@ -354,3 +357,125 @@ class TestScoringInvariants:
         high = classify(bel, pl, tau_high)
         assert low.suspicious or not high.suspicious
         assert low.confirmed or not high.confirmed
+
+
+@st.composite
+def rule_triples(draw):
+    """A rule's (fraud, genuine, either) masses. One rule in four is
+    dogmatic, so folds meet total conflict; the rest are random weights,
+    some of them exactly zero, scaled to a unit of mass."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    weights = draw(st.tuples(weight, weight, weight).filter(lambda w: fsum(w) > 0.0))
+    total = fsum(weights)
+    return tuple(w / total for w in weights)
+
+
+@st.composite
+def scoring_cases(draw, mode):
+    """A Dempster rule set of 1-12 rules and a transaction triggering 1-12
+    of them, in any order and possibly more than once."""
+    triples = draw(st.lists(rule_triples(), min_size=1, max_size=12))
+    rules = [RuleSpec(f"R{i}", *triple) for i, triple in enumerate(triples)]
+    ruleset = RuleSet.from_rules(rules, DempsterCombiner(mode))
+    picks = st.lists(st.integers(0, len(rules) - 1), min_size=1, max_size=12)
+    triggered = tuple(rules[i].id for i in draw(picks))
+    return ruleset, Transaction("t", triggered)
+
+
+def generic_fold(ruleset, txn):
+    """(bel, pl, conflict) of fraud from the power-set fold, or None on
+    total conflict.
+
+    Rejects the example when the fold cannot normalise a step: close to
+    total conflict it divides by a 1 - K that has lost most of its digits,
+    and the step's masses then miss 1 by more than the mass tolerance.
+    """
+    try:
+        outcome = combine_all(masses_for(ruleset, txn), ruleset.combiner.mode)
+    except TotalConflict:
+        return None
+    except NotNormalized:
+        assume(False)
+    interval = outcome.mass.interval(FRAUD_FRAME.singleton("fraud"))
+    return interval.bel, interval.pl, outcome.conflict
+
+
+def kernel_fold(ruleset, txn):
+    """(bel, pl, conflict) from ``score``, or None on total conflict."""
+    try:
+        report = score(ruleset, txn)
+    except TotalConflict:
+        return None
+    return report.bel_fraud, report.pl_fraud, report.conflict
+
+
+both_modes = pytest.mark.parametrize("mode", [STANDARD, SIMPLIFIED], ids=["standard", "paper"])
+
+
+class TestBinaryKernel:
+    """``score`` folds compiled mass triples in closed form; these pin it to
+    the generic power-set fold and to the exact-rational oracle."""
+
+    @both_modes
+    @given(data=st.data())
+    def test_agrees_with_generic_fold(self, mode, data):
+        ruleset, txn = data.draw(scoring_cases(mode))
+        expected = generic_fold(ruleset, txn)
+        actual = kernel_fold(ruleset, txn)
+        assert (actual is None) == (expected is None)
+        if expected is not None:
+            assert actual == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @both_modes
+    @given(data=st.data())
+    def test_agrees_with_exact_oracle(self, mode, data):
+        ruleset, txn = data.draw(scoring_cases(mode))
+        actual = kernel_fold(ruleset, txn)
+        assume(actual is not None)
+        # The oracle divides by 1 - K, so its sources must sum to exactly 1.
+        sources = []
+        for rule_id in txn.triggered:
+            triple = [Fraction(x) for x in ruleset.triples[rule_id]]
+            sources.append(tuple(x / sum(triple) for x in triple))
+        (fraud, _, uncertain), conflicts = exact_binary_fold(
+            sources, pooled=mode is SIMPLIFIED
+        )
+        exact_conflict = 1 - prod((1 - k for k in conflicts), start=Fraction(1))
+        assert actual[0] == pytest.approx(float(fraud), abs=1e-12)
+        assert actual[1] == pytest.approx(float(fraud + uncertain), abs=1e-12)
+        assert actual[2] == pytest.approx(float(exact_conflict), abs=1e-12)
+
+    @both_modes
+    @given(data=st.data())
+    def test_interval_is_ordered_and_bounded(self, mode, data):
+        ruleset, txn = data.draw(scoring_cases(mode))
+        actual = kernel_fold(ruleset, txn)
+        assume(actual is not None)
+        bel, pl, discarded = actual
+        assert 0.0 <= bel <= pl <= 1.0
+        assert 0.0 <= discarded <= 1.0
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_standard_mode_is_permutation_invariant(self, data):
+        ruleset, txn = data.draw(scoring_cases(STANDARD))
+        forward = kernel_fold(ruleset, txn)
+        assume(forward is not None)
+        order = data.draw(st.permutations(txn.triggered))
+        permuted = kernel_fold(ruleset, Transaction("t", tuple(order)))
+        assert permuted == pytest.approx(forward, abs=1e-10)
+
+    def test_paper_mode_stays_order_dependent(self):
+        rules = [
+            RuleSpec("a", 0.7, 0.1, 0.2),
+            RuleSpec("b", 0.3, 0.2, 0.5),
+            RuleSpec("c", 0.5, 0.4, 0.1),
+        ]
+        ruleset = RuleSet.from_rules(rules, DempsterCombiner(SIMPLIFIED))
+        forward = score(ruleset, Transaction("t", ("a", "b", "c")))
+        rotated = score(ruleset, Transaction("t", ("b", "c", "a")))
+        # the rational oracle gives 105/736 and 105/709
+        assert forward.bel_fraud == pytest.approx(105 / 736, abs=1e-12)
+        assert rotated.bel_fraud == pytest.approx(105 / 709, abs=1e-12)

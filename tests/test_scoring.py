@@ -1,5 +1,8 @@
 """Rule expansion, per-transaction fusion, classification, and ranking."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from scorefusion import (
@@ -13,6 +16,7 @@ from scorefusion import (
     ScoreReport,
     Transaction,
     classify,
+    combine_all,
     masses_for,
     posterior,
     rank,
@@ -62,6 +66,20 @@ class TestRuleSpec:
             RuleSpec.from_score("R1", 0.5, uncertainty=-0.5)
         with pytest.raises(ValueError):
             RuleSpec("", 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["m_fraud", "m_genuine", "m_uncertain"])
+    def test_non_finite_mass_names_rule(self, field, bad):
+        masses = {"m_fraud": 0.5, "m_genuine": 0.5, "m_uncertain": 0.0, field: bad}
+        with pytest.raises(ValueError, match=f"rule 'R7': {field} must be finite"):
+            RuleSpec("R7", **masses)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_or_uncertainty_names_rule(self, bad):
+        with pytest.raises(ValueError, match="rule 'R7': score"):
+            RuleSpec.from_score("R7", bad)
+        with pytest.raises(ValueError, match="rule 'R7': uncertainty"):
+            RuleSpec.from_score("R7", 0.5, uncertainty=bad)
 
 
 class TestMassesFor:
@@ -140,6 +158,39 @@ class TestScoreDempster:
         ruleset = ds_ruleset([RuleSpec.from_score("R1", 0.9)])
         txn = Transaction("t1", ("R1",), payload={"amount": 120.5})
         assert score(ruleset, txn).payload == {"amount": 120.5}
+
+    def test_total_conflict_message_matches_generic_fold(self):
+        ruleset = ds_ruleset([RuleSpec("Y", 1.0, 0.0), RuleSpec("N", 0.0, 1.0)])
+        txn = Transaction("t1", ("Y", "N"))
+        with pytest.raises(TotalConflict) as generic:
+            combine_all(masses_for(ruleset, txn))
+        with pytest.raises(TotalConflict) as kernel:
+            score(ruleset, txn)
+        assert str(kernel.value) == str(generic.value)
+
+    def test_unknown_rule_wins_over_total_conflict(self):
+        ruleset = ds_ruleset([RuleSpec("Y", 1.0, 0.0), RuleSpec("N", 0.0, 1.0)])
+        with pytest.raises(UnknownRule, match="'GONE'"):
+            score(ruleset, Transaction("t1", ("Y", "N", "GONE")))
+
+    def test_long_fold_does_not_underflow(self):
+        # Unnormalised, the products of 2000 sources would underflow to 0.
+        rules = [RuleSpec("A", 0.4, 0.4, 0.2), RuleSpec("B", 0.3, 0.3, 0.4)]
+        txn = Transaction("t", ("A", "B") * 1000)
+        report = score(ds_ruleset(rules), txn)
+        assert report.bel_fraud == pytest.approx(0.5, abs=1e-12)
+        assert report.pl_fraud == pytest.approx(0.5, abs=1e-12)
+        # Paper mode pools every cross term into the full set.
+        report = score(ds_ruleset(rules, SIMPLIFIED), txn)
+        assert report.bel_fraud == pytest.approx(0.0, abs=1e-12)
+        assert report.pl_fraud == pytest.approx(1.0, abs=1e-12)
+
+    def test_ruleset_compiles_validated_masses(self):
+        ruleset = ds_ruleset([RuleSpec.from_score("R1", 0.875, uncertainty=0.2)])
+        m = ruleset.rules["R1"].to_mass()
+        genuine = FRAUD_FRAME.singleton("genuine")
+        assert ruleset.triples == {"R1": (m.mass(FRAUD), m.mass(genuine), m.mass(OMEGA))}
+        assert replace(ruleset, combiner=SIMPLIFIED).triples == ruleset.triples
 
     def test_deterministic(self):
         ruleset = ds_ruleset(
@@ -248,6 +299,18 @@ class TestRank:
         ranked = rank(reports[::-1])
         assert sorted(r.rank for r in ranked) == list(range(1, 8))
         assert {r.transaction_id for r in ranked} == {r.transaction_id for r in reports}
+
+    def test_matches_replace_on_shuffled_batch(self):
+        reports = [
+            replace(report(f"t{i:02d}", bel, pl), payload={"i": i})
+            for i, (bel, pl) in enumerate(
+                [(0.1, 0.9), (0.4, 0.6), (0.4, 0.6), (0.4, 0.8), (0.9, 0.9), (0.0, 0.0)] * 4
+            )
+        ]
+        random.Random(3).shuffle(reports)
+        ordered = sorted(reports, key=lambda r: (-r.bel_fraud, -r.pl_fraud, r.transaction_id))
+        expected = [replace(r, rank=i) for i, r in enumerate(ordered, start=1)]
+        assert rank(reports) == expected
 
     def test_input_order_invariance(self):
         reports = [report("m", 0.5, 0.6), report("n", 0.5, 0.6), report("o", 0.7, 0.7)]
