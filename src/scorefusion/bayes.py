@@ -81,6 +81,11 @@ class BayesModel:
     smoothing: float = 0.0
 
     def __post_init__(self) -> None:
+        check_smoothing(self.smoothing)
+        for name in ("prior_fraud", "prior_genuine"):
+            prior = getattr(self, name)
+            if not 0.0 <= prior <= 1.0:
+                raise ValueError(f"{name} {prior!r} outside [0, 1]")
         if abs(self.prior_fraud + self.prior_genuine - 1.0) > 1e-12:
             raise ValueError(
                 f"priors {self.prior_fraud!r} + {self.prior_genuine!r} do not sum to 1"
@@ -111,9 +116,7 @@ def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:
     class that never occurs leaves the likelihoods undefined, so both classes
     must be present.
     """
-    smoothing = float(smoothing)
-    if smoothing < 0.0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing!r}")
+    smoothing = check_smoothing(float(smoothing))
     frauds = history.fraud_count
     genuines = history.genuine_count
     if smoothing == 0.0 and (frauds == 0 or genuines == 0):
@@ -133,6 +136,13 @@ def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:
         likelihoods=likelihoods,
         smoothing=smoothing,
     )
+
+
+def check_smoothing(smoothing: float) -> float:
+    """Return ``smoothing`` if it is finite and >= 0, else raise ValueError."""
+    if not (math.isfinite(smoothing) and smoothing >= 0.0):
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing!r}")
+    return smoothing
 
 
 def posterior(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:

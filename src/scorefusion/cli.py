@@ -14,15 +14,9 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .bayes import BayesModel, LabeledHistory, fit
+from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
 from .combination import CombinationMode, combine_all
-from .errors import (
-    DegenerateClass,
-    EmptyHistory,
-    FusionError,
-    ParseError,
-    TotalConflict,
-)
+from .errors import DegenerateClass, FusionError, ParseError, TotalConflict
 from .evidence import MassFunction
 from .fileio import (
     load_batch,
@@ -59,6 +53,13 @@ _REPORT_FIELDS = (
 )
 
 
+def _smoothing_arg(text: str) -> float:
+    try:
+        return check_smoothing(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scorefusion",
@@ -73,10 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("model_out", help="where to write the fitted model (JSON)")
     p_fit.add_argument(
         "--smoothing",
-        type=float,
+        type=_smoothing_arg,
         default=0.0,
         metavar="ALPHA",
-        help="additive smoothing for likelihoods (default 0)",
+        help="additive smoothing for likelihoods, finite and >= 0 (default 0)",
     )
     p_fit.set_defaults(handler=cmd_fit)
 
@@ -130,19 +131,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EmptyHistory as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DegenerateClass as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FusionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FusionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

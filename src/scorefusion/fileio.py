@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -40,6 +41,9 @@ def load_history_csv(path: str | Path) -> LabeledHistory:
     path = Path(path)
     labels: dict[str, str] = {}
     triggers: set[tuple[str, str]] = set()
+    # Each (txn, rule) pair is counted when first seen, under the row's
+    # label, which the conflict check has just forced to be the txn's label.
+    tallies: dict[str, list[int]] = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -48,33 +52,34 @@ def load_history_csv(path: str | Path) -> LabeledHistory:
         if tuple(h.strip() for h in header) != HISTORY_HEADER:
             raise ParseError(f"{path}:1: expected header {','.join(HISTORY_HEADER)}")
         for row in reader:
-            line = reader.line_num
-            if not row or all(not field.strip() for field in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{line}: expected 3 fields, got {len(row)}")
-            txn_id, label, rule_id = (field.strip() for field in row)
+            if len(row) == 3:
+                txn_id, label, rule_id = row
+                txn_id, label, rule_id = txn_id.strip(), label.strip(), rule_id.strip()
+            else:
+                txn_id = ""
             if not txn_id:
-                raise ParseError(f"{path}:{line}: empty txn_id")
+                if all(not field.strip() for field in row):
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != 3:
+                    raise ParseError(f"{where}: expected 3 fields, got {len(row)}")
+                raise ParseError(f"{where}: empty txn_id")
             if label not in ("fraud", "genuine"):
                 raise ParseError(
-                    f"{path}:{line}: label must be 'fraud' or 'genuine', got {label!r}"
+                    f"{path}:{reader.line_num}: label must be 'fraud' or 'genuine', "
+                    f"got {label!r}"
                 )
-            previous = labels.get(txn_id)
-            if previous is not None and previous != label:
+            previous = labels.setdefault(txn_id, label)
+            if previous != label:
                 raise ParseError(
-                    f"{path}:{line}: transaction {txn_id!r} labeled both "
+                    f"{path}:{reader.line_num}: transaction {txn_id!r} labeled both "
                     f"{previous!r} and {label!r}"
                 )
-            labels[txn_id] = label
-            if rule_id:
+            if rule_id and (txn_id, rule_id) not in triggers:
                 triggers.add((txn_id, rule_id))
+                tallies.setdefault(rule_id, [0, 0])[0 if label == "fraud" else 1] += 1
     total = len(labels)
     fraud_count = sum(1 for value in labels.values() if value == "fraud")
-    tallies: dict[str, list[int]] = {}
-    for txn_id, rule_id in sorted(triggers):
-        slot = tallies.setdefault(rule_id, [0, 0])
-        slot[0 if labels[txn_id] == "fraud" else 1] += 1
     evidence = {
         rule_id: EvidenceCounts(counts[0], counts[1])
         for rule_id, counts in sorted(tallies.items())
@@ -257,7 +262,13 @@ def _number(mapping: dict, key: str, where: str) -> float:
     value = mapping.get(key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{where}: field {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: field {key!r} must be finite, got {value!r}")
+    return number
 
 
 def _read_json_object(path: Path) -> dict:

@@ -1,5 +1,6 @@
 """Fitting from counts and the direct/log-space posterior paths."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,11 @@ class TestFit:
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError):
             fit(HISTORY, smoothing=-1.0)
+
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
+            fit(HISTORY, smoothing=smoothing)
 
 
 class TestPosterior:
@@ -191,6 +197,15 @@ class TestModelValidation:
     def test_likelihoods_must_be_probabilities(self):
         with pytest.raises(ValueError):
             BayesModel(0.5, 0.5, {"E1": (1.2, 0.4)})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prior_or_smoothing_rejected(self, bad):
+        with pytest.raises(ValueError, match="prior_fraud"):
+            BayesModel(bad, 0.5, {})
+        with pytest.raises(ValueError, match="prior_genuine"):
+            BayesModel(0.5, bad, {})
+        with pytest.raises(ValueError, match="smoothing must be finite"):
+            BayesModel(0.5, 0.5, {}, smoothing=bad)
 
     def test_equal_rates_history_gives_prior_back(self):
         history = LabeledHistory(

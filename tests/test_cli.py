@@ -106,6 +106,19 @@ class TestFit:
         )
         assert status == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_smoothing_exits_2_before_reading(self, capsys, tmp_path, value):
+        model_path = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", str(tmp_path / "nope.csv"), str(model_path), "--smoothing", value])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "--smoothing" in captured.err
+        assert "nope.csv" not in captured.err
+        assert "Traceback" not in captured.err
+        assert not model_path.exists()
+
 
 class TestScore:
     def test_table_output_shows_published_intervals(self, capsys, paper_mode_setup):
@@ -297,6 +310,25 @@ class TestScore:
         assert status == 2
         assert out == ""
         assert "rule 'BAD'" in err
+        assert "Traceback" not in err
+
+    def test_nan_prior_model_exits_2_naming_model(self, capsys, tmp_path, history_csv):
+        model_path = tmp_path / "model.json"
+        run_cli(capsys, "fit", str(history_csv), str(model_path))
+        document = json.loads(model_path.read_text(encoding="utf-8"))
+        document["prior_fraud"] = float("nan")
+        model_path.write_text(json.dumps(document), encoding="utf-8")
+        config = write(
+            tmp_path / "rules.json",
+            json.dumps(
+                {"combiner": "bayes", "model": "model.json", "rules": [{"id": "E1", "score": 0.5}]}
+            ),
+        )
+        batch = write(tmp_path / "batch.jsonl", '{"id": "t1", "triggered": ["E1"]}\n')
+        status, out, err = run_cli(capsys, "score", config, batch)
+        assert status == 2
+        assert out == ""
+        assert str(model_path) in err and "prior_fraud" in err
         assert "Traceback" not in err
 
     def test_payload_passthrough_in_jsonl(self, capsys, tmp_path):

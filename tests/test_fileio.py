@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefusion import BayesCombiner, CombinationMode, DempsterCombiner, fit, posterior
 from scorefusion.bayes import EvidenceCounts
@@ -73,6 +75,96 @@ class TestHistoryCsv:
         )
         assert load_history_csv(path).total == 2
 
+    def test_wrong_field_count_names_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("txn_id,label,rule_id\nt1,fraud,E1\nt2,fraud\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":3: expected 3 fields, got 2"):
+            load_history_csv(path)
+
+    def test_rows_blank_after_stripping_skipped(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "txn_id,label,rule_id\n,,\nt1,fraud,E1\n , , \n,,,\nt2,genuine,\n",
+            encoding="utf-8",
+        )
+        history = load_history_csv(path)
+        assert (history.total, history.fraud_count) == (2, 1)
+        assert history.evidence == {"E1": EvidenceCounts(1, 0)}
+
+    def test_empty_txn_id_names_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "txn_id,label,rule_id\nt1,fraud,E1\n ,genuine,E1\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError, match=":3: empty txn_id"):
+            load_history_csv(path)
+
+    def test_fields_are_stripped(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            " txn_id , label , rule_id \n t1 , fraud , E1 \nt1,fraud,E1\nt2 ,genuine , \n",
+            encoding="utf-8",
+        )
+        history = load_history_csv(path)
+        assert (history.total, history.fraud_count) == (2, 1)
+        assert history.evidence == {"E1": EvidenceCounts(1, 0)}
+
+    def test_quoted_newline_keeps_error_lines(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            'txn_id,label,rule_id\nt1,fraud,"E\n1"\nt2,dodgy,E1\n', encoding="utf-8"
+        )
+        with pytest.raises(ParseError, match=":4: label"):
+            load_history_csv(path)
+
+    def test_non_adjacent_duplicate_pairs_collapse(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "txn_id,label,rule_id\nt1,fraud,E1\nt2,genuine,E1\nt1,fraud,E2\n"
+            "t2,genuine,E1\nt1,fraud,E1\n",
+            encoding="utf-8",
+        )
+        history = load_history_csv(path)
+        assert history.evidence == {"E1": EvidenceCounts(1, 1), "E2": EvidenceCounts(1, 0)}
+
+    @settings(deadline=None)  # file I/O per example; a slow disk is not a failure
+    @given(st.data())
+    def test_matches_reference_aggregation(self, tmp_path_factory, data):
+        txns = data.draw(
+            st.dictionaries(
+                st.sampled_from([f"t{i}" for i in range(12)]),
+                st.tuples(
+                    st.sampled_from(["fraud", "genuine"]),
+                    st.lists(st.sampled_from(["R0", "R1", "R2", "R3"]), max_size=4),
+                ),
+                min_size=1,
+            )
+        )
+        rows = [
+            (txn_id, label, rule_id)
+            for txn_id, (label, rule_ids) in txns.items()
+            for rule_id in rule_ids or [""]
+        ]
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=8))
+        pad = st.sampled_from(["", " ", "  "])
+        lines = [",".join(data.draw(pad) + f + data.draw(pad) for f in row) for row in rows]
+        lines += data.draw(st.lists(st.sampled_from(["", ",,", " , , ", ",,,", " "]), max_size=4))
+        lines = data.draw(st.permutations(lines))
+        path = tmp_path_factory.mktemp("history") / "h.csv"
+        path.write_text("txn_id,label,rule_id\n" + "\n".join(lines) + "\n", encoding="utf-8")
+
+        labels = {txn_id: label for txn_id, label, _ in rows}
+        pairs = {(txn_id, rule_id) for txn_id, _, rule_id in rows if rule_id}
+        counts: dict[str, list[int]] = {}
+        for txn_id, rule_id in pairs:
+            counts.setdefault(rule_id, [0, 0])[labels[txn_id] == "genuine"] += 1
+
+        history = load_history_csv(path)
+        assert history.total == len(labels)
+        assert history.fraud_count == list(labels.values()).count("fraud")
+        assert history.evidence == {rid: EvidenceCounts(*c) for rid, c in counts.items()}
+        assert list(history.evidence) == sorted(counts)
+
 
 class TestModelFile:
     def test_round_trip_is_bit_exact(self, history_csv, tmp_path):
@@ -104,6 +196,20 @@ class TestModelFile:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match="prior_fraud"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("prior_fraud", float("nan")), ("smoothing", float("inf")), ("prior_genuine", 10**400)],
+        ids=["nan", "inf", "overflowing-int"],
+    )
+    def test_rejects_non_finite_numbers(self, tmp_path, history_csv, field, value):
+        path = tmp_path / "model.json"
+        save_model(fit(load_history_csv(history_csv)), path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document[field] = value
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"'{field}' must be finite"):
             load_model(path)
 
 
