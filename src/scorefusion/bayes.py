@@ -2,7 +2,8 @@
 
 Priors and per-evidence likelihoods are fitted from labeled trigger counts;
 the posterior multiplies the likelihoods of the triggered evidence only.
-A log-space path keeps long products from losing precision.
+A log-space path keeps long products from losing precision, and a rescaled
+product over precompiled likelihood pairs keeps them from underflowing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,16 @@ from .errors import (
     NonPositiveLikelihood,
     UnknownEvidence,
     ZeroMarginal,
+)
+
+# posterior_binary multiplies a running product by 2**_RESCALE_EXP once it
+# falls below _TINY. A power of two scales a normal double exactly, so no
+# bit is lost, and the product stays far above the subnormal range.
+_RESCALE_EXP = 600
+_TINY = 2.0**-_RESCALE_EXP
+_RESCALE = 2.0**_RESCALE_EXP
+_ZERO_MARGINAL = (
+    "both class products vanished; refit with smoothing > 0 to avoid zero likelihoods"
 )
 
 
@@ -150,7 +161,7 @@ def posterior(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:
 
     Only triggered evidence contributes a factor; duplicated ids collapse.
     """
-    ids = _resolve_ids(model, evidence_ids)
+    ids = resolve_ids(model, evidence_ids)
     numerator_fraud = model.prior_fraud
     numerator_genuine = model.prior_genuine
     for eid in ids:
@@ -159,11 +170,47 @@ def posterior(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:
         numerator_genuine *= likelihood.p_given_genuine
     marginal = numerator_fraud + numerator_genuine
     if marginal <= 0.0:
-        raise ZeroMarginal(
-            "both class products vanished; refit with smoothing > 0 to avoid "
-            "zero likelihoods"
-        )
+        raise ZeroMarginal(_ZERO_MARGINAL)
     return Posterior(numerator_fraud / marginal, numerator_genuine / marginal, marginal)
+
+
+def posterior_binary(
+    prior_fraud: float,
+    prior_genuine: float,
+    pairs: Iterable[tuple[float, float]],
+) -> float:
+    """P(fraud) from the priors and (P(E|fraud), P(E|genuine)) pairs.
+
+    The same product as :func:`posterior`, in input order, except that each
+    running product is multiplied by 2**600 whenever it falls below 2**-600,
+    and the two are brought back to a common scale with one exact ``ldexp``
+    at the end. The result therefore equals ``posterior(...).p_fraud`` bit
+    for bit wherever that product stays normal, and neither product
+    underflows, however many pairs there are, while every nonzero prior and
+    likelihood is at least 2**-400. A zero likelihood still gives exactly 0
+    or 1, and both products zero raises ZeroMarginal. The caller resolves
+    and orders the ids; :func:`posterior` sorts them.
+    """
+    fraud = prior_fraud
+    genuine = prior_genuine
+    shift = 0  # rescales of the fraud product minus those of the genuine one
+    for p_fraud, p_genuine in pairs:
+        fraud *= p_fraud
+        genuine *= p_genuine
+        if fraud < _TINY:
+            fraud *= _RESCALE
+            shift += 1
+        if genuine < _TINY:
+            genuine *= _RESCALE
+            shift -= 1
+    if shift > 0:
+        fraud = math.ldexp(fraud, -_RESCALE_EXP * shift)
+    elif shift < 0:
+        genuine = math.ldexp(genuine, _RESCALE_EXP * shift)
+    marginal = fraud + genuine
+    if marginal <= 0.0:
+        raise ZeroMarginal(_ZERO_MARGINAL)
+    return fraud / marginal
 
 
 def posterior_log(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:
@@ -174,7 +221,7 @@ def posterior_log(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:
     product is. The marginal itself can still underflow to a subnormal for
     extremely long products.
     """
-    ids = _resolve_ids(model, evidence_ids)
+    ids = resolve_ids(model, evidence_ids)
     if model.prior_fraud <= 0.0 or model.prior_genuine <= 0.0:
         raise NonPositiveLikelihood("log-space fusion needs strictly positive priors")
     log_fraud = math.log(model.prior_fraud)
@@ -194,7 +241,8 @@ def posterior_log(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:
     return Posterior(exp_fraud / z, exp_genuine / z, math.exp(peak) * z)
 
 
-def _resolve_ids(model: BayesModel, evidence_ids: Iterable[str]) -> list[str]:
+def resolve_ids(model: BayesModel, evidence_ids: Iterable[str]) -> list[str]:
+    """The distinct ids in sorted order, each checked against the model."""
     ids = sorted(set(evidence_ids))
     if not ids:
         raise NoEvidence("no evidence to condition on")

@@ -9,6 +9,10 @@ class NegativeMass(FusionError):
     """A mass assignment carries a negative value."""
 
 
+class NonFiniteMass(FusionError):
+    """A mass assignment carries NaN or an infinity."""
+
+
 class EmptySetMass(FusionError):
     """Nonzero mass was assigned to the empty set."""
 

@@ -8,10 +8,17 @@ probability bounds of any hypothesis set from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, isfinite
 from typing import Iterable, Mapping
 
-from .errors import DuplicateSet, EmptySetMass, ForeignSet, NegativeMass, NotNormalized
+from .errors import (
+    DuplicateSet,
+    EmptySetMass,
+    ForeignSet,
+    NegativeMass,
+    NonFiniteMass,
+    NotNormalized,
+)
 
 # Masses may arrive as rounded decimals; anything within this tolerance of 1
 # is accepted and rescaled so the stored total is exactly 1.0.
@@ -157,11 +164,12 @@ class BeliefInterval:
 class MassFunction:
     """A validated basic probability assignment over a frame's power set.
 
-    Construction enforces the mass axioms: no negative mass, zero mass on the
-    empty set, and a total of one (within NORMALIZATION_TOLERANCE, after which
-    the stored values are rescaled so they sum to exactly 1.0). Zero entries
-    are dropped, so iterating with :meth:`focal` yields exactly the focal
-    elements. Instances are immutable values; all queries are pure.
+    Construction enforces the mass axioms: no negative or non-finite mass
+    (NaN, inf), zero mass on the empty set, and a total of one (within
+    NORMALIZATION_TOLERANCE, after which the stored values are rescaled so
+    they sum to exactly 1.0). Zero entries are dropped, so iterating with
+    :meth:`focal` yields exactly the focal elements. Instances are immutable
+    values; all queries are pure.
     """
 
     __slots__ = ("_frame", "_masses")
@@ -186,6 +194,8 @@ class MassFunction:
                 raise DuplicateSet(f"duplicate assignment for {hset!r}")
             seen.add(hset)
             value = float(raw)
+            if not isfinite(value):
+                raise NonFiniteMass(f"mass {value!r} on {hset!r} is not finite")
             if value < 0.0:
                 raise NegativeMass(f"mass {value!r} on {hset!r} is negative")
             if hset.is_empty:

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 from math import isfinite
 from typing import Mapping, NamedTuple, Sequence, TypeVar, Union
 
-from .bayes import BayesModel, posterior
-# combine_all is no longer called here, but it stays a module attribute
-# beside masses_for: bench/tracing.py wraps both by name.
+# posterior and combine_all are no longer called here, but they stay module
+# attributes beside masses_for: bench/tracing.py wraps all three by name.
+from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
 from .combination import CombinationMode, combine_all, combine_binary  # noqa: F401
 from .errors import NoEvidence, UnknownRule
 from .evidence import Frame, MassFunction
@@ -96,12 +96,18 @@ class RuleSet:
 
     ``triples`` holds each rule's (fraud, genuine, either) masses, read once
     from its validated mass function, for the closed-form Dempster fold.
+    Under a Bayes combiner, ``pairs`` holds the model's
+    (p_given_fraud, p_given_genuine) for each rule the model knows, for the
+    rescaled posterior product; otherwise it is empty.
     """
 
     rules: Mapping[str, RuleSpec]
     combiner: Combiner
     threshold: float = 0.5
     triples: Mapping[str, tuple[float, float, float]] = field(
+        init=False, repr=False, compare=False
+    )
+    pairs: Mapping[str, tuple[float, float]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -115,6 +121,14 @@ class RuleSet:
         object.__setattr__(self, "rules", rules)
         object.__setattr__(
             self, "triples", {rule_id: _triple(spec) for rule_id, spec in rules.items()}
+        )
+        likelihoods = (
+            self.combiner.model.likelihoods if isinstance(self.combiner, BayesCombiner) else {}
+        )
+        object.__setattr__(
+            self,
+            "pairs",
+            {rule_id: likelihoods[rule_id] for rule_id in rules if rule_id in likelihoods},
         )
 
     @classmethod
@@ -132,7 +146,7 @@ class RuleSet:
         return cls(by_id, combiner, threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A transaction to score: its id, which rules fired, and opaque payload."""
 
@@ -144,7 +158,7 @@ class Transaction:
         object.__setattr__(self, "triggered", tuple(self.triggered))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreReport:
     """Fused verdict for one transaction.
 
@@ -198,27 +212,28 @@ def score(ruleset: RuleSet, txn: Transaction) -> ScoreReport:
     """Fuse one transaction's triggered rules into a classified report."""
     combiner = ruleset.combiner
     if isinstance(combiner, BayesCombiner):
-        _triggered(ruleset.rules, txn)
-        fused = posterior(combiner.model, txn.triggered)
-        bel = pl = point = fused.p_fraud
+        model = combiner.model
+        pairs = _likelihood_pairs(ruleset, model, txn)
+        bel = pl = point = posterior_binary(model.prior_fraud, model.prior_genuine, pairs)
         discarded = 0.0
-        n_sources = len(set(txn.triggered))
+        n_sources = len(pairs)
     else:
         sources = _triggered(ruleset.triples, txn)
         bel, pl, discarded = combine_binary(sources, combiner.mode)
         point = bel
-        n_sources = len(txn.triggered)
+        n_sources = len(sources)
     flags = classify(bel, pl, ruleset.threshold)
     return ScoreReport(
-        transaction_id=txn.id,
-        bel_fraud=bel,
-        pl_fraud=pl,
-        point_estimate=point,
-        conflict=discarded,
-        n_sources=n_sources,
-        suspicious=flags.suspicious,
-        confirmed=flags.confirmed,
-        payload=txn.payload,
+        txn.id,
+        bel,
+        pl,
+        point,
+        discarded,
+        n_sources,
+        flags.suspicious,
+        flags.confirmed,
+        None,
+        txn.payload,
     )
 
 
@@ -246,6 +261,27 @@ def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
         )
         for position, r in enumerate(ordered, start=1)
     ]
+
+
+def _likelihood_pairs(
+    ruleset: RuleSet, model: BayesModel, txn: Transaction
+) -> list[tuple[float, float]]:
+    """The compiled pair of each distinct triggered rule, in
+    :func:`posterior`'s sorted id order.
+
+    Only when a lookup fails, or nothing fired, are the ids checked the slow
+    way, so that the errors and messages are those of the generic path:
+    NoEvidence, then UnknownRule in trigger order, then the model's
+    UnknownEvidence.
+    """
+    try:
+        pairs = [ruleset.pairs[rule_id] for rule_id in sorted(set(txn.triggered))]
+    except KeyError:
+        pairs = []
+    if not pairs:
+        _triggered(ruleset.rules, txn)
+        resolve_ids(model, txn.triggered)
+    return pairs
 
 
 def _triple(spec: RuleSpec) -> tuple[float, float, float]:

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -396,3 +400,42 @@ class TestCombine:
         )
         assert status == 1
         assert "conflict" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_mass_names_flag(self, capsys, bad):
+        flag = f"f={bad},g=0.5,u=0.5"
+        status, out, err = run_cli(capsys, "combine", "--mass", flag, "--mass", "f=0.5,g=0.5")
+        assert status == 2
+        assert out == ""
+        assert f"--mass {flag!r}" in err and "not finite" in err
+        assert "Traceback" not in err
+
+
+class TestModuleEntryPoint:
+    """``python -m scorefusion`` runs the same CLI as the console script."""
+
+    @staticmethod
+    def run_module(*argv, cwd):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "scorefusion", *argv],
+            capture_output=True,
+            text=True,
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+
+    def test_help(self, tmp_path):
+        proc = self.run_module("--help", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert "fit" in proc.stdout and "score" in proc.stdout
+
+    def test_score_prints_report(self, tmp_path, paper_mode_setup):
+        config, batch = paper_mode_setup
+        proc = self.run_module("score", config, batch, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "combiner=ds-paper threshold=0.5000"
+        assert len(lines) == 4 and lines[2].split()[:2] == ["1", "t-narrow"]

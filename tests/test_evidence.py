@@ -8,6 +8,7 @@ from scorefusion.errors import (
     EmptySetMass,
     ForeignSet,
     NegativeMass,
+    NonFiniteMass,
     NotNormalized,
 )
 
@@ -98,6 +99,11 @@ class TestMassConstruction:
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):
             MassFunction(BINARY, [(FRAUD, 1.2), (GENUINE, -0.2)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mass_names_value(self, bad):
+        with pytest.raises(NonFiniteMass, match=f"mass {bad!r} on .*fraud.* is not finite"):
+            MassFunction(BINARY, [(FRAUD, bad), (GENUINE, 0.5), (OMEGA, 0.5)])
 
     def test_empty_set_mass(self):
         with pytest.raises(EmptySetMass):

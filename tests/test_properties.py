@@ -5,6 +5,7 @@ hypotheses and random fitted models; every invariant here is checked across
 the whole space, not just the worked examples.
 """
 
+import sys
 from fractions import Fraction
 from math import fsum, prod
 
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scorefusion import (
+    BayesCombiner,
     BayesModel,
     CombinationMode,
     DempsterCombiner,
@@ -33,9 +35,15 @@ from scorefusion import (
     rank,
     score,
 )
-from scorefusion.errors import NotNormalized, TotalConflict
+from scorefusion.errors import NotNormalized, TotalConflict, ZeroMarginal
 
-from oracles import brute_belief, brute_combine, brute_plausibility, exact_binary_fold
+from oracles import (
+    brute_belief,
+    brute_combine,
+    brute_plausibility,
+    exact_binary_fold,
+    exact_posterior,
+)
 
 STANDARD = CombinationMode.STANDARD
 SIMPLIFIED = CombinationMode.SIMPLIFIED
@@ -479,3 +487,79 @@ class TestBinaryKernel:
         # the rational oracle gives 105/736 and 105/709
         assert forward.bel_fraud == pytest.approx(105 / 736, abs=1e-12)
         assert rotated.bel_fraud == pytest.approx(105 / 709, abs=1e-12)
+
+
+# Likelihoods and priors for the Bayes fold: exact zeros and ones, values
+# small enough that a handful of them push the products below 2**-600 while
+# they stay normal, and anything else in [0, 1].
+_probability = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-10, 3e-13, 2.5e-40]), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def fold_cases(draw):
+    """A Bayes rule set of 1-12 rules and 1-30 trigger ids, repeats
+    included."""
+    prior = draw(_probability)
+    n = draw(st.integers(1, 12))
+    likelihoods = {f"E{i}": (draw(_probability), draw(_probability)) for i in range(n)}
+    model = BayesModel(prior, 1.0 - prior, likelihoods)
+    rules = [RuleSpec.from_score(eid, 0.5) for eid in likelihoods]
+    ruleset = RuleSet.from_rules(rules, BayesCombiner(model))
+    triggered = draw(st.lists(st.sampled_from(sorted(likelihoods)), min_size=1, max_size=30))
+    return ruleset, model, Transaction("t", tuple(triggered))
+
+
+def direct_products_stay_normal(model, ids):
+    """True when every running product of ``posterior`` is normal, or zero
+    because a factor is exactly zero, so that no bit was lost to underflow."""
+    fraud, genuine = model.prior_fraud, model.prior_genuine
+    fraud_zero, genuine_zero = fraud == 0.0, genuine == 0.0
+    for eid in sorted(set(ids)):
+        p_fraud, p_genuine = model.likelihoods[eid]
+        fraud *= p_fraud
+        genuine *= p_genuine
+        fraud_zero = fraud_zero or p_fraud == 0.0
+        genuine_zero = genuine_zero or p_genuine == 0.0
+        for product, exact_zero in ((fraud, fraud_zero), (genuine, genuine_zero)):
+            if not (product >= sys.float_info.min or (product == 0.0 and exact_zero)):
+                return False
+    return True
+
+
+def value_or_zero_marginal(fn):
+    try:
+        return fn()
+    except ZeroMarginal:
+        return ZeroMarginal
+
+
+class TestBayesFold:
+    """Bayes ``score`` folds compiled likelihood pairs with a product
+    rescaled by powers of two; it must reproduce ``posterior`` to the last
+    bit wherever the direct product loses nothing to underflow."""
+
+    @given(fold_cases())
+    def test_matches_posterior_bit_for_bit(self, case):
+        ruleset, model, txn = case
+        folded = value_or_zero_marginal(lambda: score(ruleset, txn).point_estimate)
+        if direct_products_stay_normal(model, txn.triggered):
+            assert folded == value_or_zero_marginal(lambda: posterior(model, txn.triggered).p_fraud)
+        elif folded is not ZeroMarginal:
+            assert 0.0 <= folded <= 1.0
+
+    @given(fold_cases())
+    def test_agrees_with_exact_oracle(self, case):
+        ruleset, model, txn = case
+        pairs = [model.likelihoods[eid] for eid in sorted(set(txn.triggered))]
+        factors = [model.prior_fraud, model.prior_genuine, *(p for pair in pairs for p in pair)]
+        assume(all(p >= 2.0**-400 or p == 0.0 for p in factors))
+        try:
+            p_fraud, _ = exact_posterior(Fraction(model.prior_fraud), pairs)
+        except ZeroDivisionError:  # both exact products are zero
+            with pytest.raises(ZeroMarginal):
+                score(ruleset, txn)
+            return
+        folded = score(ruleset, txn).point_estimate
+        assert folded == pytest.approx(float(p_fraud), rel=1e-12, abs=1e-300)

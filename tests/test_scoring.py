@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -19,10 +20,19 @@ from scorefusion import (
     combine_all,
     masses_for,
     posterior,
+    posterior_log,
     rank,
     score,
 )
-from scorefusion.errors import NoEvidence, TotalConflict, UnknownRule
+from scorefusion.errors import (
+    NoEvidence,
+    TotalConflict,
+    UnknownEvidence,
+    UnknownRule,
+    ZeroMarginal,
+)
+
+from oracles import exact_posterior
 
 FRAUD = FRAUD_FRAME.singleton("fraud")
 OMEGA = FRAUD_FRAME.omega
@@ -228,6 +238,133 @@ class TestScoreBayes:
         ruleset, _ = self.ruleset()
         with pytest.raises(NoEvidence):
             score(ruleset, Transaction("t1", ()))
+
+
+def bayes_ruleset(prior_fraud, likelihoods, extra_rules=()):
+    """A Bayes rule set over every id in ``likelihoods`` plus ``extra_rules``,
+    which the model does not know."""
+    model = BayesModel(prior_fraud, 1.0 - prior_fraud, likelihoods)
+    rules = [RuleSpec.from_score(rule_id, 0.5) for rule_id in [*likelihoods, *extra_rules]]
+    return RuleSet.from_rules(rules, BayesCombiner(model)), model
+
+
+def exact_p_fraud(model, ids):
+    pairs = [model.likelihoods[eid] for eid in sorted(set(ids))]
+    p_fraud, _ = exact_posterior(Fraction(model.prior_fraud), pairs)
+    return float(p_fraud)
+
+
+class TestScoreBayesFold:
+    """Bayes ``score`` folds the compiled likelihood pairs with a product
+    rescaled by powers of two; these pin it to ``posterior``, to the
+    log-space path and to the exact-rational oracle."""
+
+    def test_ruleset_compiles_model_pairs(self):
+        ruleset, model = bayes_ruleset(0.25, {"E1": (0.5, 0.25)}, extra_rules=["R9"])
+        assert ruleset.pairs == {"E1": model.likelihoods["E1"]}
+        assert ds_ruleset([RuleSpec.from_score("E1", 0.5)]).pairs == {}
+        assert replace(ruleset, threshold=0.9).pairs == ruleset.pairs
+
+    def test_folds_in_sorted_id_order(self):
+        # Multiplied in trigger order (E2, E1, E3), the last bit differs.
+        ruleset, model = bayes_ruleset(
+            0.1, {"E1": (0.7, 0.3), "E2": (0.11, 0.13), "E3": (0.37, 0.29)}
+        )
+        report = score(ruleset, Transaction("t", ("E2", "E1", "E3")))
+        assert report.point_estimate == posterior(model, ["E1", "E2", "E3"]).p_fraud
+
+    def test_rescaled_product_stays_bit_identical(self):
+        # Both products fall below 2**-600 after 16 rules yet stay normal
+        # (about 1e-240 and 1e-235), so the fold rescales and must still
+        # reproduce the direct product to the last bit.
+        ids = [f"E{i:02d}" for i in range(20)]
+        ruleset, model = bayes_ruleset(0.3, {eid: (1e-12, 2.7e-12) for eid in ids})
+        report = score(ruleset, Transaction("t", tuple(ids)))
+        assert report.point_estimate == posterior(model, ids).p_fraud
+
+    def test_two_thousand_sources_score(self):
+        ids = [f"S{i:04d}" for i in range(2000)]
+        ruleset, model = bayes_ruleset(7 / 30, {eid: (0.3, 0.4) for eid in ids})
+        with pytest.raises(ZeroMarginal):
+            posterior(model, ids)
+        report = score(ruleset, Transaction("t", tuple(ids)))
+        assert report.n_sources == 2000
+        assert report.point_estimate == pytest.approx(posterior_log(model, ids).p_fraud, rel=1e-12)
+        assert report.point_estimate == pytest.approx(exact_p_fraud(model, ids), rel=1e-12)
+
+    def test_mixed_long_fold_lands_mid_range(self):
+        # 1200 sources whose likelihood ratios cancel in blocks of four, so
+        # the posterior returns to the prior while both products sink far
+        # below the smallest double.
+        cycle = [(0.4, 0.3), (0.3, 0.4), (0.9, 0.6), (0.6, 0.9)]
+        ids = [f"S{i:04d}" for i in range(1200)]
+        ruleset, model = bayes_ruleset(0.3, {eid: cycle[i % 4] for i, eid in enumerate(ids)})
+        with pytest.raises(ZeroMarginal):
+            posterior(model, ids)
+        shuffled = list(ids)
+        random.Random(5).shuffle(shuffled)
+        report = score(ruleset, Transaction("t", tuple(shuffled)))
+        assert report.point_estimate == pytest.approx(0.3, rel=1e-12)
+        assert report.point_estimate == pytest.approx(posterior_log(model, ids).p_fraud, rel=1e-12)
+        assert report.point_estimate == pytest.approx(exact_p_fraud(model, ids), rel=1e-12)
+
+    def test_zero_likelihood_gives_exact_bounds(self):
+        ruleset, _ = bayes_ruleset(
+            0.4, {"E1": (0.0, 0.3), "E2": (0.7, 0.0), "E3": (0.5, 0.5)}
+        )
+        assert score(ruleset, Transaction("t", ("E1", "E3"))).point_estimate == 0.0
+        assert score(ruleset, Transaction("t", ("E2", "E3"))).point_estimate == 1.0
+        with pytest.raises(ZeroMarginal) as folded:
+            score(ruleset, Transaction("t", ("E1", "E2")))
+        with pytest.raises(ZeroMarginal) as generic:
+            posterior(ruleset.combiner.model, ["E1", "E2"])
+        assert str(folded.value) == str(generic.value)
+
+    def test_zero_likelihood_survives_a_long_fold(self):
+        ids = [f"S{i:04d}" for i in range(1000)]
+        likelihoods = {eid: (0.3, 0.2) for eid in ids}
+        ruleset, _ = bayes_ruleset(0.5, {**likelihoods, "Z": (0.0, 0.5)})
+        assert score(ruleset, Transaction("t", (*ids, "Z"))).point_estimate == 0.0
+        ruleset, _ = bayes_ruleset(0.5, {**likelihoods, "Z": (0.5, 0.0)})
+        assert score(ruleset, Transaction("t", (*ids, "Z"))).point_estimate == 1.0
+
+    def test_repeated_ids_count_once(self):
+        ruleset, _ = bayes_ruleset(0.3, {"a": (0.6, 0.2), "b": (0.1, 0.4)})
+        once = score(ruleset, Transaction("t", ("a",)))
+        twice = score(ruleset, Transaction("t", ("a", "a")))
+        assert twice == once and twice.n_sources == 1
+        assert score(ruleset, Transaction("t", ("a", "b", "a"))) == score(
+            ruleset, Transaction("t", ("a", "b"))
+        )
+
+    def test_unknown_rule_precedes_unknown_evidence(self):
+        ruleset, _ = bayes_ruleset(0.3, {"E1": (0.6, 0.2)}, extra_rules=["R9"])
+        with pytest.raises(UnknownRule, match="'GONE'"):
+            score(ruleset, Transaction("t", ("R9", "GONE", "E1")))
+
+    def test_unknown_evidence_message_matches_posterior(self):
+        ruleset, model = bayes_ruleset(0.3, {"E1": (0.6, 0.2)}, extra_rules=["R9", "R8"])
+        triggered = ("R9", "E1", "R8", "R9")
+        with pytest.raises(UnknownEvidence) as folded:
+            score(ruleset, Transaction("t", triggered))
+        with pytest.raises(UnknownEvidence) as generic:
+            posterior(model, triggered)
+        assert str(folded.value) == str(generic.value)
+
+    def test_no_evidence_precedes_model_checks(self):
+        ruleset, _ = bayes_ruleset(0.3, {"E1": (0.6, 0.2)})
+        with pytest.raises(NoEvidence, match="'t'"):
+            score(ruleset, Transaction("t", ()))
+
+
+class TestSlottedRecords:
+    def test_reports_and_transactions_have_no_instance_dict(self):
+        txn = Transaction("t", ["a"])
+        assert txn.triggered == ("a",)
+        assert not hasattr(txn, "__dict__")
+        assert not hasattr(report("t", 0.2, 0.4), "__dict__")
+        with pytest.raises(AttributeError):
+            txn.id = "u"
 
 
 class TestClassify:
