@@ -103,16 +103,24 @@ def combine_all(
     masses: Iterable[MassFunction],
     mode: CombinationMode = CombinationMode.STANDARD,
 ) -> CombinationResult:
-    """Left-fold :func:`combine_pair` over the sources in input order.
+    """Left-fold :func:`combine_pair` over the sources.
 
-    Standard mode is associative and commutative, so the result does not
-    depend on the order. Simplified mode does depend on it; the fold order is
-    defined to be the input order, and ``step_conflicts`` records each step.
+    Standard mode is associative and commutative in exact arithmetic, so it
+    folds the sources in a canonical order (see :func:`_fold_key`): the
+    result, the step conflicts and whether some step meets total conflict
+    then do not depend on the input order, to the last bit. A step's K does
+    depend on the order: certain-genuine evidence met after two fraud masses
+    of 1 - 1e-7 meets K = 1 - 1e-14, a total conflict, while met first it
+    meets K = 1 - 1e-7 twice. Simplified mode is not associative; its fold
+    order is defined to be the input order. ``step_conflicts`` records each
+    step in fold order.
     """
     sources = list(masses)
     if not sources:
         raise EmptyInput("need at least one mass function to combine")
     _require_mode_fits(mode, sources[0].frame)
+    if mode is CombinationMode.STANDARD:
+        sources.sort(key=_fold_key)
     combined = sources[0]
     steps: list[float] = []
     for m in sources[1:]:
@@ -130,8 +138,10 @@ def combine_binary(
     """Closed-form :func:`combine_all` on a binary frame.
 
     Each source is a (first, second, both) mass triple, such as the
-    (fraud, genuine, either) masses of a rule, and the fold runs in input
-    order. Each step is divided by its surviving sum, so the running triple
+    (fraud, genuine, either) masses of a rule. Standard mode folds the
+    triples in sorted order, the canonical order :func:`combine_all` folds
+    their mass functions in; simplified mode folds them in input order.
+    Each step is divided by its surviving sum, so the running triple
     stays a unit of mass however long the fold. Returns (bel, pl, conflict)
     of the first hypothesis, with 0 <= bel <= pl <= 1 and conflict
     1 - prod(1 - K_i). Agrees with the generic fold to rounding, not to the
@@ -140,6 +150,8 @@ def combine_binary(
     if not sources:
         raise EmptyInput("need at least one mass triple to combine")
     pooled = mode is CombinationMode.SIMPLIFIED
+    if not pooled:
+        sources = sorted(sources)
     f, g, u = sources[0]
     kept = 1.0
     for f2, g2, u2 in sources[1:]:
@@ -154,6 +166,18 @@ def combine_binary(
         f, g, u = f / total, g / total, u / total
         kept *= 1.0 - k
     return f, min(f + u, 1.0), 1.0 - kept
+
+
+def _fold_key(m: MassFunction) -> tuple[tuple[int, float], ...]:
+    """Orders mass functions as their mass vectors over the power set, in
+    mask order, order lexicographically.
+
+    On a binary frame that is the order of (first, second, both) triples, so
+    :func:`combine_binary` and :func:`combine_all` fold alike. Only focal
+    elements are listed; negating the mask makes a source with mass on a
+    lower mask sort after one without, as its larger vector entry would.
+    """
+    return tuple((-hset.mask, value) for hset, value in m.focal())
 
 
 def _require_common_frame(m1: MassFunction, m2: MassFunction) -> Frame:

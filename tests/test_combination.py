@@ -215,6 +215,18 @@ class TestCombineAll:
             assert backward.mass.mass(hset) == pytest.approx(value, abs=1e-12)
         assert backward.conflict == pytest.approx(forward.conflict, abs=1e-12)
 
+    def test_standard_fold_is_order_free_near_total_conflict(self):
+        # Fused with itself first, the fraud mass would meet the certain
+        # genuine one at K = 1 - 2**-46, past the total-conflict limit; met
+        # one at a time, it meets K = 1 - 2**-23 twice.
+        eps = 2.0**-23
+        fraud, genuine = binary_mass(1 - eps, 0.0, eps), binary_mass(0.0, 1.0)
+        orders = ([fraud, fraud, genuine], [genuine, fraud, fraud], [fraud, genuine, fraud])
+        results = [combine_all(order, STANDARD) for order in orders]
+        assert all(result == results[0] for result in results)
+        assert results[0].mass.mass(GENUINE) == 1.0
+        assert results[0].step_conflicts == (1 - eps, 1 - eps)
+
 
 class TestClosure:
     def test_combined_mass_is_valid(self):

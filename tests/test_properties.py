@@ -234,6 +234,19 @@ class TestCombinationInvariants:
         for hset, value in forward.mass.focal():
             assert permuted.mass.mass(hset) == pytest.approx(value, abs=1e-10)
 
+    @settings(max_examples=60)
+    @given(st.data(), frames())
+    def test_standard_fold_is_order_free_to_the_last_bit(self, data, frame):
+        sources = data.draw(st.lists(masses_on(frame), min_size=2, max_size=4))
+        shuffled = data.draw(st.permutations(sources))
+        outcomes = []
+        for order in (sources, shuffled):
+            try:
+                outcomes.append(combine_all(list(order), STANDARD))
+            except (TotalConflict, NotNormalized) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
+
     @given(frames().flatmap(masses_on))
     def test_vacuous_is_neutral_exactly(self, m):
         result = combine_pair(m, MassFunction.vacuous(m.frame))

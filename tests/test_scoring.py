@@ -195,6 +195,18 @@ class TestScoreDempster:
         assert report.bel_fraud == pytest.approx(0.0, abs=1e-12)
         assert report.pl_fraud == pytest.approx(1.0, abs=1e-12)
 
+    def test_near_total_conflict_does_not_depend_on_trigger_order(self):
+        # F fused with itself meets G at K = 1 - 2**-46, a total conflict;
+        # F met after G meets K = 1 - 2**-23 each time.
+        eps = 2.0**-23
+        ruleset = ds_ruleset([RuleSpec("F", 1 - eps, 0.0, eps), RuleSpec("G", 0.0, 1.0)])
+        orders = (("F", "F", "G"), ("G", "F", "F"), ("F", "G", "F"))
+        reports = [score(ruleset, Transaction("t", order)) for order in orders]
+        assert {(r.bel_fraud, r.pl_fraud, r.conflict) for r in reports} == {
+            (0.0, 0.0, reports[0].conflict)
+        }
+        assert reports[0].conflict == pytest.approx(1 - eps**2, abs=1e-16)
+
     def test_ruleset_compiles_validated_masses(self):
         ruleset = ds_ruleset([RuleSpec.from_score("R1", 0.875, uncertainty=0.2)])
         m = ruleset.rules["R1"].to_mass()
