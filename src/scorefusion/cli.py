@@ -15,7 +15,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
-from .combination import CombinationMode, combine_all
+from .combination import CombinationMode, combine_binary
 from .errors import DegenerateClass, FusionError, ParseError, TotalConflict
 from .evidence import MassFunction
 from .fileio import (
@@ -32,6 +32,7 @@ from .scoring import (
     RuleSet,
     ScoreReport,
     Transaction,
+    mass_triple,
     rank,
     score,
 )
@@ -339,29 +340,26 @@ def cmd_combine(args: argparse.Namespace) -> int:
     if len(args.mass) < 2:
         raise ParseError("need at least two --mass flags to combine")
     sources = [_parse_mass_flag(text) for text in args.mass]
+    steps: list[tuple[float, float, float, float]] = []
     try:
-        outcome = combine_all(sources, _MODES[args.mode])
+        bel, pl, conflict = combine_binary(sources, _MODES[args.mode], steps)
     except TotalConflict as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    fraud = FRAUD_FRAME.singleton("fraud")
-    genuine = FRAUD_FRAME.singleton("genuine")
-    omega = FRAUD_FRAME.omega
-    interval = outcome.mass.interval(fraud)
+    _, fraud, genuine, uncertain = steps[-1]
     print(f"mode={args.mode} sources={len(sources)}")
-    steps = " ".join(f"{k:.4f}" for k in outcome.step_conflicts)
-    print(f"K per step: {steps}")
-    print(f"K_total: {outcome.conflict:.4f}")
+    print(f"K per step: {' '.join(f'{step[0]:.4f}' for step in steps)}")
+    print(f"K_total: {conflict:.4f}")
     print("combined mass:")
-    print(f"  m(fraud)     = {outcome.mass.mass(fraud):.4f}")
-    print(f"  m(genuine)   = {outcome.mass.mass(genuine):.4f}")
-    print(f"  m(uncertain) = {outcome.mass.mass(omega):.4f}")
-    print(f"bel(fraud) = {interval.bel:.4f}")
-    print(f"pl(fraud)  = {interval.pl:.4f}")
+    print(f"  m(fraud)     = {fraud:.4f}")
+    print(f"  m(genuine)   = {genuine:.4f}")
+    print(f"  m(uncertain) = {uncertain:.4f}")
+    print(f"bel(fraud) = {bel:.4f}")
+    print(f"pl(fraud)  = {pl:.4f}")
     return 0
 
 
-def _parse_mass_flag(text: str) -> MassFunction:
+def _parse_mass_flag(text: str) -> tuple[float, float, float]:
     values: dict[str, float] = {}
     for part in text.split(","):
         key, sep, raw = part.partition("=")
@@ -379,7 +377,7 @@ def _parse_mass_flag(text: str) -> MassFunction:
     if "f" not in values or "g" not in values:
         raise ParseError(f"--mass {text!r}: both f=<x> and g=<y> are required")
     try:
-        return MassFunction(
+        mass = MassFunction(
             FRAUD_FRAME,
             [
                 (FRAUD_FRAME.singleton("fraud"), values["f"]),
@@ -389,3 +387,8 @@ def _parse_mass_flag(text: str) -> MassFunction:
         )
     except FusionError as exc:
         raise ParseError(f"--mass {text!r}: {exc}") from exc
+    return mass_triple(mass)
+
+
+if __name__ == "__main__":
+    run()

@@ -134,6 +134,7 @@ def combine_all(
 def combine_binary(
     sources: Sequence[tuple[float, float, float]],
     mode: CombinationMode = CombinationMode.STANDARD,
+    steps: list[tuple[float, float, float, float]] | None = None,
 ) -> tuple[float, float, float]:
     """Closed-form :func:`combine_all` on a binary frame.
 
@@ -146,6 +147,10 @@ def combine_binary(
     of the first hypothesis, with 0 <= bel <= pl <= 1 and conflict
     1 - prod(1 - K_i). Agrees with the generic fold to rounding, not to the
     last bit.
+
+    When ``steps`` is given, each fold step appends its (K, first, second,
+    both) to it: the step's conflict and the normalised triple after it.
+    Nothing returned depends on it.
     """
     if not sources:
         raise EmptyInput("need at least one mass triple to combine")
@@ -165,6 +170,8 @@ def combine_binary(
         total = f + g + u
         f, g, u = f / total, g / total, u / total
         kept *= 1.0 - k
+        if steps is not None:
+            steps.append((k, f, g, u))
     return f, min(f + u, 1.0), 1.0 - kept
 
 

@@ -8,7 +8,7 @@ probability bounds of any hypothesis set from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum, isfinite
+from math import fsum, inf, isfinite
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -112,30 +112,8 @@ class HypothesisSet:
     def is_singleton(self) -> bool:
         return self.mask.bit_count() == 1
 
-    def _require_same_frame(self, other: "HypothesisSet") -> None:
-        if other.frame != self.frame:
-            raise ForeignSet(
-                f"set over frame {other.frame.labels} used with frame {self.frame.labels}"
-            )
-
-    def __and__(self, other: "HypothesisSet") -> "HypothesisSet":
-        self._require_same_frame(other)
-        return HypothesisSet(self.frame, self.mask & other.mask)
-
-    def __or__(self, other: "HypothesisSet") -> "HypothesisSet":
-        self._require_same_frame(other)
-        return HypothesisSet(self.frame, self.mask | other.mask)
-
     def complement(self) -> "HypothesisSet":
         return HypothesisSet(self.frame, self.mask ^ (1 << self.frame.size) - 1)
-
-    def issubset(self, other: "HypothesisSet") -> bool:
-        self._require_same_frame(other)
-        return self.mask & ~other.mask == 0
-
-    def intersects(self, other: "HypothesisSet") -> bool:
-        self._require_same_frame(other)
-        return self.mask & other.mask != 0
 
     def __repr__(self) -> str:
         return f"HypothesisSet({{{', '.join(self.labels)}}})"
@@ -203,7 +181,10 @@ class MassFunction:
                     raise EmptySetMass(f"empty set carries mass {value!r}, must be 0")
                 continue
             masses[hset] = value
-        total = fsum(masses.values())
+        try:
+            total = fsum(masses.values())
+        except OverflowError:  # finite masses, infinite sum: not normalized
+            total = inf
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise NotNormalized(
                 f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOLERANCE}"

@@ -45,39 +45,46 @@ def load_history_csv(path: str | Path) -> LabeledHistory:
     # label, which the conflict check has just forced to be the txn's label.
     tallies: dict[str, list[int]] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty file, expected header {','.join(HISTORY_HEADER)}")
-        if tuple(h.strip() for h in header) != HISTORY_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(HISTORY_HEADER)}")
-        for row in reader:
-            if len(row) == 3:
-                txn_id, label, rule_id = row
-                txn_id, label, rule_id = txn_id.strip(), label.strip(), rule_id.strip()
-            else:
-                txn_id = ""
-            if not txn_id:
-                if all(not field.strip() for field in row):
-                    continue
-                where = f"{path}:{reader.line_num}"
-                if len(row) != 3:
-                    raise ParseError(f"{where}: expected 3 fields, got {len(row)}")
-                raise ParseError(f"{where}: empty txn_id")
-            if label not in ("fraud", "genuine"):
+        try:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
                 raise ParseError(
-                    f"{path}:{reader.line_num}: label must be 'fraud' or 'genuine', "
-                    f"got {label!r}"
+                    f"{path}: empty file, expected header {','.join(HISTORY_HEADER)}"
                 )
-            previous = labels.setdefault(txn_id, label)
-            if previous != label:
-                raise ParseError(
-                    f"{path}:{reader.line_num}: transaction {txn_id!r} labeled both "
-                    f"{previous!r} and {label!r}"
-                )
-            if rule_id and (txn_id, rule_id) not in triggers:
-                triggers.add((txn_id, rule_id))
-                tallies.setdefault(rule_id, [0, 0])[0 if label == "fraud" else 1] += 1
+            if tuple(h.strip() for h in header) != HISTORY_HEADER:
+                raise ParseError(f"{path}:1: expected header {','.join(HISTORY_HEADER)}")
+            for row in reader:
+                if len(row) == 3:
+                    txn_id, label, rule_id = row
+                    txn_id, label, rule_id = txn_id.strip(), label.strip(), rule_id.strip()
+                else:
+                    txn_id = ""
+                if not txn_id:
+                    if all(not field.strip() for field in row):
+                        continue
+                    where = f"{path}:{reader.line_num}"
+                    if len(row) != 3:
+                        raise ParseError(f"{where}: expected 3 fields, got {len(row)}")
+                    raise ParseError(f"{where}: empty txn_id")
+                if label not in ("fraud", "genuine"):
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: label must be 'fraud' or 'genuine', "
+                        f"got {label!r}"
+                    )
+                previous = labels.setdefault(txn_id, label)
+                if previous != label:
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: transaction {txn_id!r} labeled both "
+                        f"{previous!r} and {label!r}"
+                    )
+                if rule_id and (txn_id, rule_id) not in triggers:
+                    triggers.add((txn_id, rule_id))
+                    tallies.setdefault(rule_id, [0, 0])[0 if label == "fraud" else 1] += 1
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     total = len(labels)
     fraud_count = sum(1 for value in labels.values() if value == "fraud")
     evidence = {
@@ -143,17 +150,15 @@ def load_rule_config(path: str | Path) -> RuleSet:
     path = Path(path)
     document = _read_json_object(path)
     frame = document.get("frame", list(FRAME_LABELS))
-    if tuple(frame) != FRAME_LABELS:
+    if not isinstance(frame, list) or tuple(frame) != FRAME_LABELS:
         raise ParseError(f"{path}: frame must be {list(FRAME_LABELS)}, got {frame!r}")
     combiner_name = document.get("combiner", "ds-standard")
-    threshold = document.get("threshold", 0.5)
-    if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
-        raise ParseError(f"{path}: threshold must be a number, got {threshold!r}")
+    threshold = _number(document, "threshold", str(path)) if "threshold" in document else 0.5
     rules_doc = document.get("rules")
     if not isinstance(rules_doc, list) or not rules_doc:
         raise ParseError(f"{path}: 'rules' must be a non-empty list")
     rules = [_parse_rule(entry, index, path) for index, entry in enumerate(rules_doc)]
-    if combiner_name in _COMBINER_MODES:
+    if isinstance(combiner_name, str) and combiner_name in _COMBINER_MODES:
         combiner: BayesCombiner | DempsterCombiner = DempsterCombiner(
             _COMBINER_MODES[combiner_name]
         )
@@ -171,7 +176,7 @@ def load_rule_config(path: str | Path) -> RuleSet:
             f"got {combiner_name!r}"
         )
     try:
-        return RuleSet.from_rules(rules, combiner, float(threshold))
+        return RuleSet.from_rules(rules, combiner, threshold)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -186,39 +191,50 @@ def load_batch(path: str | Path) -> list[Transaction]:
     transactions: list[Transaction] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{line_number}: invalid record: {exc.msg}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}:{line_number}: record must be an object")
-            txn_id = record.get("id")
-            if not isinstance(txn_id, str) or not txn_id:
-                raise ParseError(f"{path}:{line_number}: missing or invalid 'id'")
-            if txn_id in seen:
-                raise ParseError(f"{path}:{line_number}: duplicate transaction id {txn_id!r}")
-            seen.add(txn_id)
-            triggered = record.get("triggered", [])
-            if not isinstance(triggered, list) or not all(
-                isinstance(item, str) for item in triggered
-            ):
-                raise ParseError(
-                    f"{path}:{line_number}: 'triggered' must be a list of rule ids"
+        try:
+            for line_number, line in enumerate(handle, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    record = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(
+                        f"{path}:{line_number}: invalid record: {exc.msg}"
+                    ) from exc
+                except (ValueError, RecursionError) as exc:  # an int too long, too deep
+                    raise ParseError(f"{path}:{line_number}: invalid record: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise ParseError(f"{path}:{line_number}: record must be an object")
+                txn_id = record.get("id")
+                if not isinstance(txn_id, str) or not txn_id:
+                    raise ParseError(f"{path}:{line_number}: missing or invalid 'id'")
+                if not txn_id.isascii() and not _is_unicode(txn_id):
+                    raise ParseError(f"{path}:{line_number}: 'id' is not valid Unicode text")
+                if txn_id in seen:
+                    raise ParseError(
+                        f"{path}:{line_number}: duplicate transaction id {txn_id!r}"
+                    )
+                seen.add(txn_id)
+                triggered = record.get("triggered", [])
+                if not isinstance(triggered, list) or not all(
+                    isinstance(item, str) for item in triggered
+                ):
+                    raise ParseError(
+                        f"{path}:{line_number}: 'triggered' must be a list of rule ids"
+                    )
+                explicit = record.get("payload")
+                if explicit is not None and not isinstance(explicit, dict):
+                    raise ParseError(f"{path}:{line_number}: 'payload' must be an object")
+                payload = dict(explicit or {})
+                payload.update(
+                    (key, value)
+                    for key, value in record.items()
+                    if key not in ("id", "triggered", "payload")
                 )
-            explicit = record.get("payload")
-            if explicit is not None and not isinstance(explicit, dict):
-                raise ParseError(f"{path}:{line_number}: 'payload' must be an object")
-            payload = dict(explicit or {})
-            payload.update(
-                (key, value)
-                for key, value in record.items()
-                if key not in ("id", "triggered", "payload")
-            )
-            transactions.append(Transaction(txn_id, tuple(triggered), payload or None))
+                transactions.append(Transaction(txn_id, tuple(triggered), payload or None))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     return transactions
 
 
@@ -271,15 +287,31 @@ def _number(mapping: dict, key: str, where: str) -> float:
     return number
 
 
+def _is_unicode(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate, which a JSON ``\\ud800``
+    escape yields and no output encoding can write."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _read_json_object(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    except ValueError as exc:  # a name the OS cannot take, such as one with a NUL
+        raise ParseError(f"{str(path)!r}: {exc}") from exc
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an int too long, nesting too deep
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ParseError(f"{path}: top level must be an object")
     return document

@@ -119,9 +119,8 @@ class RuleSet:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(
-            self, "triples", {rule_id: _triple(spec) for rule_id, spec in rules.items()}
-        )
+        triples = {rule_id: mass_triple(spec.to_mass()) for rule_id, spec in rules.items()}
+        object.__setattr__(self, "triples", triples)
         likelihoods = (
             self.combiner.model.likelihoods if isinstance(self.combiner, BayesCombiner) else {}
         )
@@ -284,8 +283,9 @@ def _likelihood_pairs(
     return pairs
 
 
-def _triple(spec: RuleSpec) -> tuple[float, float, float]:
-    m = spec.to_mass()
+def mass_triple(m: MassFunction) -> tuple[float, float, float]:
+    """The (fraud, genuine, either) masses of a validated mass function on
+    FRAUD_FRAME: how a rule is compiled, and how ``combine`` reads a source."""
     return m.mass(_FRAUD), m.mass(_GENUINE), m.mass(_EITHER)
 
 

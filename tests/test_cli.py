@@ -6,9 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefusion import fit, posterior
 from scorefusion.cli import main
@@ -24,6 +27,20 @@ def run_cli(capsys, *argv):
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def run_main(argv):
+    """Run cli.main in-process without a pytest fixture, as hypothesis tests
+    must; argparse's SystemExit counts as its exit code. Stdout is strict
+    UTF-8, as a real one is, so unwritable text fails here too."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    out.flush()
+    return status, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 @pytest.fixture
@@ -410,16 +427,57 @@ class TestCombine:
         assert f"--mass {flag!r}" in err and "not finite" in err
         assert "Traceback" not in err
 
+    def test_readme_example_line_for_line(self, capsys):
+        status, out, err = run_cli(
+            capsys,
+            "combine",
+            "--mass", "f=0.6,g=0.4",
+            "--mass", "f=0.8,g=0.2",
+            "--mode", "standard",
+        )
+        assert (status, err) == (0, "")
+        assert out.splitlines() == [
+            "mode=standard sources=2",
+            "K per step: 0.4400",
+            "K_total: 0.4400",
+            "combined mass:",
+            "  m(fraud)     = 0.8571",
+            "  m(genuine)   = 0.1429",
+            "  m(uncertain) = 0.0000",
+            "bel(fraud) = 0.8571",
+            "pl(fraud)  = 0.8571",
+        ]
+
+    def test_near_total_conflict_scores_as_score_does(self, capsys):
+        # The power-set fold divided by a cancelled 1 - K here and rejected
+        # its own step as not normalised; the kernel divides by what survives.
+        status, out, err = run_cli(
+            capsys,
+            "combine",
+            "--mass", "f=0,g=0.999999999,u=0.000000001",
+            "--mass", "f=1,g=0",
+        )
+        assert (status, err) == (0, "")
+        assert "bel(fraud) = 1.0000" in out
+        assert "K_total: 1.0000" in out
+
+    def test_overflowing_mass_sum_names_flag(self, capsys):
+        flag = "f=1e308,g=1e308"
+        status, out, err = run_cli(capsys, "combine", "--mass", flag, "--mass", "f=0.5,g=0.5")
+        assert (status, out) == (2, "")
+        assert f"--mass {flag!r}" in err and "masses sum to inf" in err
+        assert "Traceback" not in err
+
 
 class TestModuleEntryPoint:
     """``python -m scorefusion`` runs the same CLI as the console script."""
 
     @staticmethod
-    def run_module(*argv, cwd):
+    def run_module(*argv, cwd, module="scorefusion"):
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "scorefusion", *argv],
+            [sys.executable, "-m", module, *argv],
             capture_output=True,
             text=True,
             cwd=cwd,
@@ -432,6 +490,12 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "fit" in proc.stdout and "score" in proc.stdout
 
+    def test_cli_module_help(self, tmp_path):
+        proc = self.run_module("--help", cwd=tmp_path, module="scorefusion.cli")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: scorefusion ")
+        assert "fit" in proc.stdout and "score" in proc.stdout
+
     def test_score_prints_report(self, tmp_path, paper_mode_setup):
         config, batch = paper_mode_setup
         proc = self.run_module("score", config, batch, cwd=tmp_path)
@@ -439,3 +503,289 @@ class TestModuleEntryPoint:
         lines = proc.stdout.splitlines()
         assert lines[0] == "combiner=ds-paper threshold=0.5000"
         assert len(lines) == 4 and lines[2].split()[:2] == ["1", "t-narrow"]
+
+
+@st.composite
+def mass_sources(draw):
+    """2-8 (f, g, u) triples; about half of them sit next to total conflict."""
+    eps = st.sampled_from([1e-15, 1e-12, 1e-9, 2.0**-23, 1e-7])
+    near = st.one_of(
+        eps.map(lambda e: (0.0, 1.0 - e, e)),
+        eps.map(lambda e: (1.0 - e, 0.0, e)),
+        st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]),
+    )
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    weights = st.tuples(weight, weight, weight).filter(lambda w: sum(w) > 0.0)
+    spread = weights.map(lambda w: tuple(x / sum(w) for x in w))
+    return draw(st.lists(st.one_of(near, spread), min_size=2, max_size=8))
+
+
+class TestCombineMatchesScore:
+    """``combine`` folds its --mass sources with the kernel ``score`` runs,
+    so both print the same interval and conflict for the same masses."""
+
+    @pytest.mark.parametrize("mode", ["standard", "paper"])
+    @settings(max_examples=60, deadline=None)
+    @given(triples=mass_sources())
+    def test_same_interval_and_conflict(self, tmp_path_factory, mode, triples):
+        work = tmp_path_factory.mktemp("combine")
+        rules = [
+            {"id": f"R{i}", "m_fraud": f, "m_genuine": g, "m_uncertain": u}
+            for i, (f, g, u) in enumerate(triples)
+        ]
+        combiner = "ds-standard" if mode == "standard" else "ds-paper"
+        config = write(work / "rules.json", json.dumps({"combiner": combiner, "rules": rules}))
+        triggered = [rule["id"] for rule in rules]
+        batch = write(work / "batch.jsonl", json.dumps({"id": "t", "triggered": triggered}))
+        _, table, _ = run_main(["score", config, batch])
+        row = table.splitlines()[-1].split()
+
+        flags = [f"--mass=f={f!r},g={g!r},u={u!r}" for f, g, u in triples]
+        status, out, err = run_main(["combine", *flags, "--mode", mode])
+        if row[-1] == "error:TotalConflict":
+            assert status == 1 and "total conflict" in err
+            return
+        assert row[-1] == "scored" and (status, err) == (0, "")
+        bel_fraud, pl_fraud, conflict = row[2], row[3], row[5]
+        assert {
+            f"bel(fraud) = {bel_fraud}",
+            f"pl(fraud)  = {pl_fraud}",
+            f"K_total: {conflict}",
+        } <= set(out.splitlines())
+
+
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.fixture
+def bayes_setup(tmp_path, history_csv):
+    """A bayes config, its fitted model and a one-transaction batch."""
+    model = tmp_path / "model.json"
+    assert main(["fit", str(history_csv), str(model)]) == 0
+    config = write(
+        tmp_path / "rules.json",
+        json.dumps(
+            {"combiner": "bayes", "model": "model.json", "rules": [{"id": "E1", "score": 0.5}]}
+        ),
+    )
+    batch = write(tmp_path / "batch.jsonl", '{"id": "t1", "triggered": ["E1"]}\n')
+    return config, batch, str(model)
+
+
+class TestInputBoundary:
+    """Malformed input exits 2 with an error naming the file (and the key,
+    where there is one) or the flag, never with a traceback."""
+
+    @staticmethod
+    def check(capsys, argv, *named):
+        capsys.readouterr()  # drop what a fixture printed
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        for text in named:
+            assert text in err
+
+    @pytest.mark.parametrize("target", ["config", "batch", "model"])
+    def test_invalid_utf8_names_file(self, capsys, bayes_setup, target):
+        config, batch, model = bayes_setup
+        path = {"config": config, "batch": batch, "model": model}[target]
+        Path(path).write_bytes(b'{"id": "t1"}\n{"id": "\xff"}\n')
+        self.check(capsys, ["score", config, batch], path, "UTF-8")
+
+    def test_invalid_utf8_history_names_file(self, capsys, tmp_path):
+        history = _write_bytes(tmp_path / "h.csv", b"txn_id,label,rule_id\nt1,fraud,E\xff1\n")
+        self.check(capsys, ["fit", history, str(tmp_path / "m.json")], history, "UTF-8")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("frame", 5),
+            ("frame", None),
+            ("combiner", []),
+            ("combiner", {}),
+            ("threshold", 10**400),
+        ],
+        ids=["frame-int", "frame-null", "combiner-list", "combiner-object", "threshold-huge-int"],
+    )
+    def test_ill_typed_config_key_names_file_and_key(self, capsys, tmp_path, key, value):
+        document = {"rules": [{"id": "R1", "score": 0.8}], key: value}
+        config = write(tmp_path / "rules.json", json.dumps(document))
+        batch = write(tmp_path / "batch.jsonl", '{"id": "t1", "triggered": ["R1"]}\n')
+        self.check(capsys, ["score", config, batch], config, key)
+
+    def test_overlong_history_field_names_line(self, capsys, tmp_path):
+        history = write(tmp_path / "h.csv", "txn_id,label,rule_id\nt1,fraud," + "E" * 200_000)
+        self.check(capsys, ["fit", history, str(tmp_path / "m.json")], f"{history}:2:")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+    )
+    def test_overlong_integer_names_line(self, capsys, bayes_setup):
+        config, batch, _ = bayes_setup
+        write(Path(batch), '{"id": "t1", "n": ' + "9" * 5000 + "}\n")
+        self.check(capsys, ["score", config, batch], f"{batch}:1:")
+
+    @pytest.mark.parametrize("output", ["table", "csv", "jsonl"])
+    def test_lone_surrogate_id_names_line(self, capsys, bayes_setup, output):
+        # Printing such an id to a UTF-8 stdout raises, after part of the report.
+        config, batch, _ = bayes_setup
+        write(Path(batch), '{"id": "t1", "triggered": ["E1"]}\n{"id": "\\ud800"}\n')
+        self.check(capsys, ["score", config, batch, "--output", output], f"{batch}:2:", "'id'")
+
+    @pytest.mark.parametrize("target", ["config", "batch", "model"])
+    def test_deep_nesting_names_file(self, capsys, bayes_setup, target):
+        config, batch, model = bayes_setup
+        path = {"config": config, "batch": batch, "model": model}[target]
+        Path(path).write_text("[" * 5000 + "\n", encoding="utf-8")
+        self.check(capsys, ["score", config, batch], path)
+
+
+# --- fuzz over cli.main ------------------------------------------------
+
+_RULE_IDS = ["R0", "R1", "R2"]
+_ill_typed = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.text(max_size=6),
+    st.just([]),
+    st.just({}),
+    st.just(["fraud"]),
+)
+_probability = st.one_of(st.floats(0.0, 1.0), _ill_typed)
+
+_valid_rule = st.one_of(
+    st.fixed_dictionaries({"id": st.sampled_from(_RULE_IDS), "score": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries(
+        {"id": st.sampled_from(_RULE_IDS), "m_fraud": st.just(0.5), "m_genuine": st.just(0.5)}
+    ),
+)
+_any_rule = st.fixed_dictionaries(
+    {"id": st.one_of(st.sampled_from(_RULE_IDS), _ill_typed)},
+    optional={
+        key: _probability
+        for key in ("score", "uncertainty", "m_fraud", "m_genuine", "m_uncertain", "description")
+    },
+)
+_fuzz_configs = st.fixed_dictionaries(
+    {"rules": st.one_of(st.lists(st.one_of(_valid_rule, _any_rule), max_size=4), _ill_typed)},
+    optional={
+        "frame": st.one_of(st.just(["fraud", "genuine"]), _ill_typed),
+        "combiner": st.one_of(st.sampled_from(["ds-standard", "ds-paper", "bayes"]), _ill_typed),
+        "threshold": _probability,
+        "model": st.one_of(st.sampled_from(["model.json", "missing.json"]), _ill_typed),
+    },
+)
+_MODEL = {
+    "format": "scorefusion-model/1",
+    "smoothing": 1.0,
+    "prior_fraud": 0.25,
+    "prior_genuine": 0.75,
+    "likelihoods": {
+        "R0": {"p_given_fraud": 0.5, "p_given_genuine": 0.25},
+        "R1": {"p_given_fraud": 0.0, "p_given_genuine": 1.0},
+    },
+}
+_fuzz_models = st.one_of(
+    st.just(_MODEL),
+    st.sampled_from(["format", "prior_fraud", "smoothing", "likelihoods"]).flatmap(
+        lambda key: _ill_typed.map(lambda value: {**_MODEL, key: value})
+    ),
+).map(lambda document: json.dumps(document).encode())
+_not_utf8 = st.binary(min_size=1, max_size=6).map(lambda b: b"\xff" + b)
+_valid_record = st.lists(st.sampled_from(_RULE_IDS + ["GONE"]), max_size=4).map(
+    lambda triggered: {"triggered": triggered}
+)
+_any_record = st.fixed_dictionaries(
+    {"id": st.one_of(st.text(min_size=1, max_size=2), st.just("\ud800"), _ill_typed)},
+    optional={"triggered": _ill_typed, "payload": _ill_typed, "amount": _ill_typed},
+)
+
+
+@st.composite
+def _batches(draw):
+    lines = []
+    for index in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["valid", "ill-typed", "not json", "not utf-8"]))
+        if kind == "valid":
+            lines.append(json.dumps({"id": f"t{index}", **draw(_valid_record)}).encode())
+        elif kind == "ill-typed":
+            lines.append(json.dumps(draw(_any_record)).encode())
+        elif kind == "not json":
+            lines.append(draw(st.text(max_size=8)).encode("utf-8", "surrogatepass"))
+        else:
+            lines.append(draw(_not_utf8))
+    return b"\n".join(lines)
+
+
+@st.composite
+def _histories(draw):
+    rows = [b"txn_id,label,rule_id"]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["valid", "text", "not utf-8"]))
+        if kind == "valid":
+            txn = draw(st.sampled_from(["a", "b", "c"]))
+            label = draw(st.sampled_from(["fraud", "genuine"]))
+            rule = draw(st.sampled_from(_RULE_IDS + [""]))
+            rows.append(f"{txn},{label},{rule}".encode())
+        elif kind == "text":
+            rows.append(draw(st.text(max_size=10)).encode("utf-8", "surrogatepass"))
+        else:
+            rows.append(draw(_not_utf8))
+    return b"\n".join(rows)
+
+
+_flag_text = st.one_of(
+    st.text(max_size=12),
+    st.tuples(_probability, _probability, _probability).map(
+        lambda fgu: "f={!r},g={!r},u={!r}".format(*fgu)
+    ),
+)
+
+
+def _option(name, values):
+    """No flag, or ``name=value`` for a drawn value."""
+    return st.one_of(st.just([]), values.map(lambda value: [f"{name}={value}"]))
+
+
+@st.composite
+def _invocations(draw, work):
+    """argv for one in-process run of score, fit or combine, with its files
+    written into ``work``."""
+    command = draw(st.sampled_from(["score", "fit", "combine"]))
+    if command == "combine":
+        masses = draw(st.lists(_flag_text, max_size=4))
+        mode = draw(_option("--mode", st.sampled_from(["standard", "paper", "other"])))
+        return ["combine", *(f"--mass={text}" for text in masses), *mode]
+    if command == "fit":
+        history = _write_bytes(work / "history.csv", draw(_histories()))
+        smoothing = draw(_option("--smoothing", st.text(max_size=8)))
+        return ["fit", history, str(work / "out.json"), *smoothing]
+    _write_bytes(work / "model.json", draw(st.one_of(_fuzz_models, _not_utf8)))
+    config = draw(st.one_of(_fuzz_configs.map(lambda c: json.dumps(c).encode()), _not_utf8))
+    return [
+        "score",
+        _write_bytes(work / "rules.json", config),
+        _write_bytes(work / "batch.jsonl", draw(_batches())),
+        *draw(_option("--threshold", st.text(max_size=8))),
+        *draw(_option("--output", st.sampled_from(["table", "csv", "jsonl"]))),
+        *draw(_option("--combiner", st.sampled_from(["ds", "bayes"]))),
+        *draw(_option("--mode", st.sampled_from(["standard", "paper"]))),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_invocations_end_in_an_exit_code(tmp_path_factory, data):
+    """Random configs, batches, histories, models and flags, valid and not:
+    every run ends in a documented exit code and no exception escapes."""
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    argv = data.draw(_invocations(work))
+    status, _, err = run_main(argv)
+    assert status in (0, 1, 2, 3), (argv, err)

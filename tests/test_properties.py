@@ -35,6 +35,7 @@ from scorefusion import (
     rank,
     score,
 )
+from scorefusion.combination import combine_binary
 from scorefusion.errors import NotNormalized, TotalConflict, ZeroMarginal
 
 from oracles import (
@@ -487,6 +488,26 @@ class TestBinaryKernel:
         order = data.draw(st.permutations(txn.triggered))
         permuted = kernel_fold(ruleset, Transaction("t", tuple(order)))
         assert permuted == pytest.approx(forward, abs=1e-10)
+
+    @both_modes
+    @given(triples=st.lists(rule_triples(), min_size=1, max_size=12))
+    def test_step_list_is_output_only(self, mode, triples):
+        def fold(*steps):
+            try:
+                return repr(combine_binary(triples, mode, *steps))
+            except TotalConflict as exc:
+                return f"TotalConflict: {exc}"
+
+        steps = []
+        plain = fold()
+        assert fold(steps) == plain
+        assume(not plain.startswith("TotalConflict"))
+        assert len(steps) == len(triples) - 1
+        if steps:
+            bel, pl, _ = combine_binary(triples, mode)
+            _, f, _, u = steps[-1]
+            assert bel == f
+            assert pl == min(f + u, 1.0)
 
     def test_paper_mode_stays_order_dependent(self):
         rules = [
