@@ -37,6 +37,7 @@ from .scoring import (
     masses_for,
     rank,
     score,
+    score_batch,
 )
 
 __version__ = "0.1.0"
@@ -71,4 +72,5 @@ __all__ = [
     "posterior_log",
     "rank",
     "score",
+    "score_batch",
 ]

@@ -2,7 +2,8 @@
 combine ad-hoc masses for inspection.
 
 Exit codes: 0 success, 1 nothing scored (or total conflict in ``combine``),
-2 input or parse problem, 3 fitting failed on a degenerate history.
+2 input or parse problem, 3 fitting failed on a degenerate history, 141
+stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -31,11 +33,14 @@ from .scoring import (
     DempsterCombiner,
     RuleSet,
     ScoreReport,
-    Transaction,
+    SideRow,
     mass_triple,
-    rank,
-    score,
+    score_batch,
 )
+
+# score and rank are no longer called here, but they stay module attributes
+# beside load_batch and load_rule_config: bench/tracing.py wraps them by name.
+from .scoring import rank, score  # noqa: F401
 
 _MODES = {"standard": CombinationMode.STANDARD, "paper": CombinationMode.SIMPLIFIED}
 
@@ -132,6 +137,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # The reader went away, as `| head` does. Stop quietly with the
+        # status a SIGPIPE kill gives, and let what stdout still buffers
+        # flush into devnull at exit instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except DegenerateClass as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -181,18 +194,7 @@ def _print_fit_summary(history: LabeledHistory, model: BayesModel, out_path: str
 
 def cmd_score(args: argparse.Namespace) -> int:
     ruleset = _apply_overrides(load_rule_config(args.config), args)
-    transactions = load_batch(args.batch)
-    scored: list[ScoreReport] = []
-    side: list[tuple[Transaction, str, str | None]] = []
-    for txn in transactions:
-        if not txn.triggered:
-            side.append((txn, "skipped", None))
-            continue
-        try:
-            scored.append(score(ruleset, txn))
-        except FusionError as exc:
-            side.append((txn, "error", type(exc).__name__))
-    ranked = rank(scored)
+    ranked, side = score_batch(ruleset, load_batch(args.batch))
     emit = {"table": _emit_table, "csv": _emit_csv, "jsonl": _emit_jsonl}[args.output]
     emit(ranked, side, _combiner_name(ruleset.combiner), ruleset.threshold)
     return 0 if ranked else 1
@@ -234,7 +236,7 @@ def _combiner_name(combiner: Combiner) -> str:
 
 def _emit_table(
     ranked: list[ScoreReport],
-    side: list[tuple[Transaction, str, str | None]],
+    side: list[SideRow],
     combiner_name: str,
     threshold: float,
 ) -> None:
@@ -264,7 +266,7 @@ def _emit_table(
 
 def _emit_csv(
     ranked: list[ScoreReport],
-    side: list[tuple[Transaction, str, str | None]],
+    side: list[SideRow],
     combiner_name: str,
     threshold: float,
 ) -> None:
@@ -295,7 +297,7 @@ def _emit_csv(
 
 def _emit_jsonl(
     ranked: list[ScoreReport],
-    side: list[tuple[Transaction, str, str | None]],
+    side: list[SideRow],
     combiner_name: str,
     threshold: float,
 ) -> None:

@@ -30,6 +30,9 @@ _COMBINER_MODES = {
     "ds-paper": CombinationMode.SIMPLIFIED,
 }
 
+# What json.loads runs once it has checked its input: one value from an index.
+_scan_json = json.JSONDecoder().scan_once
+
 
 def load_history_csv(path: str | Path) -> LabeledHistory:
     """Aggregate a trigger-level CSV (txn_id,label,rule_id) into counts.
@@ -196,14 +199,15 @@ def load_batch(path: str | Path) -> list[Transaction]:
                 text = line.strip()
                 if not text:
                     continue
+                # The decoder's own scanner, without json.loads' wrapping.
+                # A line it does not take whole goes through json.loads,
+                # whose error the message is built from.
                 try:
-                    record = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(
-                        f"{path}:{line_number}: invalid record: {exc.msg}"
-                    ) from exc
-                except (ValueError, RecursionError) as exc:  # an int too long, too deep
-                    raise ParseError(f"{path}:{line_number}: invalid record: {exc}") from exc
+                    record, end = _scan_json(text, 0)
+                except (ValueError, StopIteration, RecursionError):
+                    end = -1
+                if end != len(text):
+                    record = _decode_line(text, path, line_number)
                 if not isinstance(record, dict):
                     raise ParseError(f"{path}:{line_number}: record must be an object")
                 txn_id = record.get("id")
@@ -217,25 +221,37 @@ def load_batch(path: str | Path) -> list[Transaction]:
                     )
                 seen.add(txn_id)
                 triggered = record.get("triggered", [])
-                if not isinstance(triggered, list) or not all(
-                    isinstance(item, str) for item in triggered
-                ):
+                if not _is_str_list(triggered):
                     raise ParseError(
                         f"{path}:{line_number}: 'triggered' must be a list of rule ids"
                     )
-                explicit = record.get("payload")
-                if explicit is not None and not isinstance(explicit, dict):
-                    raise ParseError(f"{path}:{line_number}: 'payload' must be an object")
-                payload = dict(explicit or {})
-                payload.update(
-                    (key, value)
-                    for key, value in record.items()
-                    if key not in ("id", "triggered", "payload")
-                )
-                transactions.append(Transaction(txn_id, tuple(triggered), payload or None))
+                if len(record) == 1 + ("triggered" in record):  # nothing but id, triggered
+                    payload = None
+                else:
+                    explicit = record.get("payload")
+                    if explicit is not None and not isinstance(explicit, dict):
+                        raise ParseError(
+                            f"{path}:{line_number}: 'payload' must be an object"
+                        )
+                    payload = dict(explicit or {})
+                    payload.update(
+                        (key, value)
+                        for key, value in record.items()
+                        if key not in ("id", "triggered", "payload")
+                    )
+                transactions.append(Transaction(txn_id, triggered, payload or None))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
     return transactions
+
+
+def _decode_line(text: str, path: Path, line_number: int) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{line_number}: invalid record: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an int too long, too deep
+        raise ParseError(f"{path}:{line_number}: invalid record: {exc}") from exc
 
 
 def _parse_rule(entry: Any, index: int, path: Path) -> RuleSpec:
@@ -285,6 +301,15 @@ def _number(mapping: dict, key: str, where: str) -> float:
     if not math.isfinite(number):
         raise ParseError(f"{where}: field {key!r} must be finite, got {value!r}")
     return number
+
+
+def _is_str_list(value: Any) -> bool:
+    if not isinstance(value, list):
+        return False
+    for item in value:
+        if not isinstance(item, str):
+            return False
+    return True
 
 
 def _is_unicode(text: str) -> bool:

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 # posterior and combine_all are no longer called here, but they stay module
 # attributes beside masses_for: bench/tracing.py wraps all three by name.
 from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
 from .combination import CombinationMode, combine_all, combine_binary  # noqa: F401
-from .errors import NoEvidence, UnknownRule
+from .errors import FusionError, NoEvidence, UnknownRule
 from .evidence import Frame, MassFunction
 
 FRAUD_FRAME = Frame(("fraud", "genuine"))
@@ -147,14 +147,21 @@ class RuleSet:
 
 @dataclass(frozen=True, slots=True)
 class Transaction:
-    """A transaction to score: its id, which rules fired, and opaque payload."""
+    """A transaction to score: its id, which rules fired, and opaque payload.
+
+    A rule id triggered more than once counts once: ``triggered`` keeps the
+    first occurrence of each id, in trigger order.
+    """
 
     id: str
     triggered: tuple[str, ...] = ()
     payload: Mapping | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "triggered", tuple(self.triggered))
+        triggered = tuple(self.triggered)
+        if len(set(triggered)) < len(triggered):
+            triggered = tuple(dict.fromkeys(triggered))
+        object.__setattr__(self, "triggered", triggered)
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,24 +216,13 @@ def masses_for(ruleset: RuleSet, txn: Transaction) -> list[MassFunction]:
 
 def score(ruleset: RuleSet, txn: Transaction) -> ScoreReport:
     """Fuse one transaction's triggered rules into a classified report."""
-    combiner = ruleset.combiner
-    if isinstance(combiner, BayesCombiner):
-        model = combiner.model
-        pairs = _likelihood_pairs(ruleset, model, txn)
-        bel = pl = point = posterior_binary(model.prior_fraud, model.prior_genuine, pairs)
-        discarded = 0.0
-        n_sources = len(pairs)
-    else:
-        sources = _triggered(ruleset.triples, txn)
-        bel, pl, discarded = combine_binary(sources, combiner.mode)
-        point = bel
-        n_sources = len(sources)
+    bel, pl, discarded, n_sources = _fold(ruleset)(txn)
     flags = classify(bel, pl, ruleset.threshold)
     return ScoreReport(
         txn.id,
         bel,
         pl,
-        point,
+        bel,
         discarded,
         n_sources,
         flags.suspicious,
@@ -262,25 +258,95 @@ def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
     ]
 
 
-def _likelihood_pairs(
-    ruleset: RuleSet, model: BayesModel, txn: Transaction
-) -> list[tuple[float, float]]:
-    """The compiled pair of each distinct triggered rule, in
-    :func:`posterior`'s sorted id order.
+SideRow = tuple[Transaction, str, Union[str, None]]
 
-    Only when a lookup fails, or nothing fired, are the ids checked the slow
-    way, so that the errors and messages are those of the generic path:
-    NoEvidence, then UnknownRule in trigger order, then the model's
-    UnknownEvidence.
+
+def score_batch(
+    ruleset: RuleSet, transactions: Iterable[Transaction]
+) -> tuple[list[ScoreReport], list[SideRow]]:
+    """Score and rank a batch in one pass.
+
+    Returns the ranked reports, equal to ``rank`` of :func:`score` over every
+    transaction that scores, and the side rows of the rest in input order:
+    ``(txn, "skipped", None)`` for one that triggered nothing and
+    ``(txn, "error", error class name)`` for one whose scoring raised a
+    :class:`FusionError`. Each report is built once, already ranked.
     """
-    try:
-        pairs = [ruleset.pairs[rule_id] for rule_id in sorted(set(txn.triggered))]
-    except KeyError:
-        pairs = []
-    if not pairs:
-        _triggered(ruleset.rules, txn)
-        resolve_ids(model, txn.triggered)
-    return pairs
+    fold = _fold(ruleset)
+    threshold = ruleset.threshold
+    # Sort keys first; the running count keeps equal keys in input order and
+    # stops the comparison before the payload.
+    rows: list = []
+    side: list[SideRow] = []
+    for txn in transactions:
+        if not txn.triggered:
+            side.append((txn, "skipped", None))
+            continue
+        try:
+            bel, pl, discarded, n_sources = fold(txn)
+        except FusionError as exc:
+            side.append((txn, "error", type(exc).__name__))
+            continue
+        if bel > pl:
+            classify(bel, pl, threshold)  # raises
+        rows.append((-bel, -pl, txn.id, len(rows), discarded, n_sources, txn.payload))
+    rows.sort()
+    # Each row is replaced by its report, so the two lists never coexist.
+    for index, (neg_bel, neg_pl, txn_id, _, discarded, n_sources, payload) in enumerate(rows):
+        bel, pl = -neg_bel, -neg_pl
+        rows[index] = ScoreReport(
+            txn_id,
+            bel,
+            pl,
+            bel,
+            discarded,
+            n_sources,
+            pl > threshold,
+            bel > threshold,
+            index + 1,
+            payload,
+        )
+    return rows, side
+
+
+def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float, int]]:
+    """The ruleset's fusion of one transaction, chosen once per combiner:
+    (bel, pl, conflict, n_sources), where bel is also the point estimate.
+
+    Its errors, in order: NoEvidence, then UnknownRule in trigger order, then
+    those of the fusion itself.
+    """
+    combiner = ruleset.combiner
+    if isinstance(combiner, BayesCombiner):
+        model = combiner.model
+        pairs = ruleset.pairs
+        prior_fraud, prior_genuine = model.prior_fraud, model.prior_genuine
+
+        def fold_bayes(txn: Transaction) -> tuple[float, float, float, int]:
+            # The compiled pairs in posterior's sorted id order. Only when a
+            # lookup fails, or nothing fired, are the ids checked the slow
+            # way, so that the errors and messages are those of the generic
+            # path, the model's UnknownEvidence last.
+            try:
+                found = [pairs[rule_id] for rule_id in sorted(txn.triggered)]
+            except KeyError:
+                found = []
+            if not found:
+                _triggered(ruleset.rules, txn)
+                resolve_ids(model, txn.triggered)
+            p_fraud = posterior_binary(prior_fraud, prior_genuine, found)
+            return p_fraud, p_fraud, 0.0, len(found)
+
+        return fold_bayes
+
+    triples, mode = ruleset.triples, combiner.mode
+
+    def fold_dempster(txn: Transaction) -> tuple[float, float, float, int]:
+        sources = _triggered(triples, txn)
+        bel, pl, discarded = combine_binary(sources, mode)
+        return bel, pl, discarded, len(sources)
+
+    return fold_dempster
 
 
 def mass_triple(m: MassFunction) -> tuple[float, float, float]:

@@ -473,15 +473,19 @@ class TestModuleEntryPoint:
     """``python -m scorefusion`` runs the same CLI as the console script."""
 
     @staticmethod
-    def run_module(*argv, cwd, module="scorefusion"):
+    def env():
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return {**os.environ, "PYTHONPATH": path}
+
+    @classmethod
+    def run_module(cls, *argv, cwd, module="scorefusion"):
         return subprocess.run(
             [sys.executable, "-m", module, *argv],
             capture_output=True,
             text=True,
             cwd=cwd,
-            env={**os.environ, "PYTHONPATH": path},
+            env=cls.env(),
             timeout=60,
         )
 
@@ -503,6 +507,29 @@ class TestModuleEntryPoint:
         lines = proc.stdout.splitlines()
         assert lines[0] == "combiner=ds-paper threshold=0.5000"
         assert len(lines) == 4 and lines[2].split()[:2] == ["1", "t-narrow"]
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, paper_mode_setup):
+        # The report is far larger than a pipe buffer, so the writer is still
+        # writing when the reader goes away, as with `| head -1`.
+        config, _ = paper_mode_setup
+        batch = write(
+            tmp_path / "big.jsonl",
+            "".join(f'{{"id": "t{i}", "triggered": ["R1", "R2"]}}\n' for i in range(5000)),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "scorefusion", "score", config, batch],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=tmp_path,
+            env=self.env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"combiner=ds-paper threshold=0.5000\n"
+        assert err == b""
 
 
 @st.composite

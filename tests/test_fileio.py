@@ -1,12 +1,20 @@
 """History CSV, model file, rule config, and batch parsing."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorefusion import BayesCombiner, CombinationMode, DempsterCombiner, fit, posterior
+from scorefusion import (
+    BayesCombiner,
+    CombinationMode,
+    DempsterCombiner,
+    Transaction,
+    fit,
+    posterior,
+)
 from scorefusion.bayes import EvidenceCounts
 from scorefusion.errors import EmptyHistory, ParseError
 from scorefusion.fileio import (
@@ -346,3 +354,86 @@ class TestBatchFile:
         path = tmp_path / "batch.jsonl"
         path.write_text('\n{"id": "t1"}\n\n', encoding="utf-8")
         assert len(load_batch(path)) == 1
+
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [
+            ('{"id": "t2", "triggered": [}', "invalid record: Expecting value"),
+            ('{"id": "t2"} x', "invalid record: Extra data"),
+            ('{"id": "t2"}{"id": "t3"}', "invalid record: Extra data"),
+            ('["t2"]', "record must be an object"),
+            (
+                '{"id": "t2", "p": ' + "[" * 5000 + "]" * 5000 + "}",
+                "invalid record: maximum recursion depth exceeded while decoding a JSON "
+                "array from a unicode string",
+            ),
+            (
+                '{"id": "t2", "n": ' + "9" * 5000 + "}",
+                "invalid record: Exceeds the limit (4300 digits) for integer string "
+                "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to "
+                "increase the limit",
+            ),
+            ('﻿{"id": "t2"}', "invalid record: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ],
+        ids=["invalid", "trailing", "two-objects", "non-object", "too-deep", "long-int", "bom"],
+    )
+    def test_bad_line_message(self, tmp_path, line, message):
+        if "digits" in message and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("no integer digit limit")
+        path = tmp_path / "batch.jsonl"
+        path.write_text('{"id": "t1", "triggered": ["R1"]}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_batch(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+    @settings(deadline=None)  # file I/O per example
+    @given(st.data())
+    def test_matches_json_loads_reference(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=8))
+        lines = []
+        for txn_id in ids:
+            record = {"id": txn_id}
+            if data.draw(st.booleans()):
+                record["triggered"] = data.draw(st.lists(st.sampled_from(["R1", "R2", "é"])))
+            if data.draw(st.booleans()):
+                record["payload"] = data.draw(st.dictionaries(st.text(max_size=4), _json_values))
+            extras = st.text(max_size=4).filter(lambda k: k not in ("id", "triggered", "payload"))
+            record.update(data.draw(st.dictionaries(extras, _json_values, max_size=2)))
+            items = data.draw(st.permutations(list(record.items())))
+            text = json.dumps(
+                dict(items),
+                ensure_ascii=data.draw(st.booleans()),
+                separators=data.draw(st.sampled_from([(",", ":"), (", ", ": "), (" , ", " : ")])),
+            )
+            pad = st.sampled_from(["", " ", "\t", "\r", "\x1c", "　"])
+            lines.append(data.draw(pad) + text + data.draw(pad))
+        lines += data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+        lines = data.draw(st.permutations(lines))
+        path = tmp_path_factory.mktemp("batch") / "batch.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        expected = []
+        for line in lines:
+            if not line.strip():
+                continue
+            record = json.loads(line.strip())
+            payload = dict(record.get("payload") or {})
+            payload.update(
+                (k, v) for k, v in record.items() if k not in ("id", "triggered", "payload")
+            )
+            expected.append(
+                Transaction(record["id"], tuple(record.get("triggered", [])), payload or None)
+            )
+        assert load_batch(path) == expected
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)

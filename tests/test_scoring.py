@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefusion import (
     FRAUD_FRAME,
@@ -23,8 +25,11 @@ from scorefusion import (
     posterior_log,
     rank,
     score,
+    score_batch,
+    scoring,
 )
 from scorefusion.errors import (
+    FusionError,
     NoEvidence,
     TotalConflict,
     UnknownEvidence,
@@ -185,8 +190,10 @@ class TestScoreDempster:
 
     def test_long_fold_does_not_underflow(self):
         # Unnormalised, the products of 2000 sources would underflow to 0.
-        rules = [RuleSpec("A", 0.4, 0.4, 0.2), RuleSpec("B", 0.3, 0.3, 0.4)]
-        txn = Transaction("t", ("A", "B") * 1000)
+        # The ids are distinct, since a repeated id counts once.
+        masses = [(0.4, 0.4, 0.2), (0.3, 0.3, 0.4)]
+        rules = [RuleSpec(f"R{i}", *masses[i % 2]) for i in range(2000)]
+        txn = Transaction("t", tuple(spec.id for spec in rules))
         report = score(ds_ruleset(rules), txn)
         assert report.bel_fraud == pytest.approx(0.5, abs=1e-12)
         assert report.pl_fraud == pytest.approx(0.5, abs=1e-12)
@@ -196,11 +203,12 @@ class TestScoreDempster:
         assert report.pl_fraud == pytest.approx(1.0, abs=1e-12)
 
     def test_near_total_conflict_does_not_depend_on_trigger_order(self):
-        # F fused with itself meets G at K = 1 - 2**-46, a total conflict;
-        # F met after G meets K = 1 - 2**-23 each time.
+        # F1 fused with its twin F2 meets G at K = 1 - 2**-46, a total
+        # conflict; each met after G meets K = 1 - 2**-23.
         eps = 2.0**-23
-        ruleset = ds_ruleset([RuleSpec("F", 1 - eps, 0.0, eps), RuleSpec("G", 0.0, 1.0)])
-        orders = (("F", "F", "G"), ("G", "F", "F"), ("F", "G", "F"))
+        twins = [RuleSpec(rule_id, 1 - eps, 0.0, eps) for rule_id in ("F1", "F2")]
+        ruleset = ds_ruleset([*twins, RuleSpec("G", 0.0, 1.0)])
+        orders = (("F1", "F2", "G"), ("G", "F1", "F2"), ("F1", "G", "F2"))
         reports = [score(ruleset, Transaction("t", order)) for order in orders]
         assert {(r.bel_fraud, r.pl_fraud, r.conflict) for r in reports} == {
             (0.0, 0.0, reports[0].conflict)
@@ -482,3 +490,120 @@ class TestRuleSet:
     def test_key_id_mismatch(self):
         with pytest.raises(ValueError):
             RuleSet({"B": RuleSpec.from_score("A", 0.5)}, STANDARD)
+
+
+class TestDuplicateTriggers:
+    """A repeated trigger id counts once, under every combiner."""
+
+    def test_transaction_keeps_first_occurrences(self):
+        assert Transaction("t", ["b", "a", "b", "c", "a"]).triggered == ("b", "a", "c")
+        assert Transaction("t", ("a", "b")).triggered == ("a", "b")
+
+    @pytest.mark.parametrize("combiner", [STANDARD, SIMPLIFIED], ids=["standard", "paper"])
+    def test_dempster_fuses_a_repeated_rule_once(self, combiner):
+        ruleset = ds_ruleset([RuleSpec.from_score("a", 0.8, 0.2)], combiner)
+        twice = score(ruleset, Transaction("t", ("a", "a")))
+        assert twice == score(ruleset, Transaction("t", ("a",)))
+        assert twice.n_sources == 1 and twice.bel_fraud == pytest.approx(0.64)
+
+    def test_paper_mode_folds_in_first_occurrence_order(self):
+        specs = [
+            RuleSpec("a", 0.7, 0.1, 0.2),
+            RuleSpec("b", 0.3, 0.2, 0.5),
+            RuleSpec("c", 0.1, 0.6, 0.3),
+        ]
+        ruleset = ds_ruleset(specs, SIMPLIFIED)
+        assert score(ruleset, Transaction("t", ("b", "a", "b", "c", "a"))) == score(
+            ruleset, Transaction("t", ("b", "a", "c"))
+        )
+
+
+def score_then_rank(ruleset, transactions):
+    """score and rank, one transaction at a time, as a reference."""
+    scored, side = [], []
+    for txn in transactions:
+        if not txn.triggered:
+            side.append((txn, "skipped", None))
+            continue
+        try:
+            scored.append(score(ruleset, txn))
+        except FusionError as exc:
+            side.append((txn, "error", type(exc).__name__))
+    return rank(scored), side
+
+
+# Rule masses on a coarse grid, so that equal intervals and ties are common;
+# X-F and X-G are certain and opposite, a planted TotalConflict pair.
+_TRIPLES = [(0.6, 0.1, 0.3), (0.2, 0.5, 0.3), (0.4, 0.4, 0.2), (0.0, 0.3, 0.7), (0.9, 0.0, 0.1)]
+_PLANTED = {"X-F": (1.0, 0.0, 0.0), "X-G": (0.0, 1.0, 0.0)}
+
+
+@st.composite
+def batches(draw):
+    """(ruleset, shuffled transactions) under ds-standard, ds-paper or bayes.
+
+    Triggers mix configured rules, an unknown one ("GONE") and the planted
+    pair; empty lists are skipped. Under bayes the model leaves R3 out, so
+    a transaction triggering it raises UnknownEvidence. Ids come from a
+    small pool, so a batch can hold one id twice.
+    """
+    family = draw(st.sampled_from(["ds-standard", "ds-paper", "bayes"]))
+    triples = {f"R{i}": draw(st.sampled_from(_TRIPLES)) for i in range(5)}
+    triples.update(_PLANTED)
+    rules = [RuleSpec(rule_id, *masses) for rule_id, masses in triples.items()]
+    if family == "bayes":
+        likelihood = st.sampled_from([0.05, 0.2, 0.5, 0.8])
+        known = [rule_id for rule_id in triples if rule_id != "R3"]
+        model = BayesModel(
+            0.1, 0.9, {rule_id: (draw(likelihood), draw(likelihood)) for rule_id in known}
+        )
+        combiner = BayesCombiner(model)
+    else:
+        combiner = STANDARD if family == "ds-standard" else SIMPLIFIED
+    ruleset = RuleSet.from_rules(rules, combiner, draw(st.sampled_from([0.3, 0.5, 0.7])))
+    trigger = st.sampled_from([*triples, "GONE"])
+    transactions = [
+        Transaction(
+            draw(st.sampled_from([f"t{i}" for i in range(12)])),
+            draw(st.lists(trigger, max_size=5)),
+            {"seq": seq},
+        )
+        for seq in range(draw(st.integers(0, 25)))
+    ]
+    return ruleset, draw(st.permutations(transactions))
+
+
+class TestScoreBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(batches())
+    def test_equals_score_then_rank(self, case):
+        ruleset, transactions = case
+        assert score_batch(ruleset, transactions) == score_then_rank(ruleset, transactions)
+
+    def test_covers_every_outcome(self):
+        planted = [RuleSpec(rule_id, *masses) for rule_id, masses in _PLANTED.items()]
+        ruleset = ds_ruleset([RuleSpec("A", 0.6, 0.1, 0.3), *planted])
+        transactions = [
+            Transaction("skip", ()),
+            Transaction("gone", ("A", "GONE")),
+            Transaction("clash", ("X-F", "X-G")),
+            Transaction("b", ("A",)),
+            Transaction("a", ("A",)),
+        ]
+        ranked, side = score_batch(ruleset, transactions)
+        assert [(r.transaction_id, r.rank) for r in ranked] == [("a", 1), ("b", 2)]
+        assert ranked == rank([score(ruleset, transactions[3]), score(ruleset, transactions[4])])
+        assert side == [
+            (transactions[0], "skipped", None),
+            (transactions[1], "error", "UnknownRule"),
+            (transactions[2], "error", "TotalConflict"),
+        ]
+
+    def test_empty_batch(self):
+        assert score_batch(ds_ruleset([RuleSpec("A", 0.6, 0.1, 0.3)]), []) == ([], [])
+
+    def test_inverted_interval_is_not_swallowed(self, monkeypatch):
+        ruleset = ds_ruleset([RuleSpec("A", 0.6, 0.1, 0.3)])
+        monkeypatch.setattr(scoring, "combine_binary", lambda sources, mode: (0.7, 0.6, 0.0))
+        with pytest.raises(ValueError, match="bel 0.7 exceeds pl 0.6"):
+            score_batch(ruleset, [Transaction("t", ("A",))])
