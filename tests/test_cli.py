@@ -365,6 +365,85 @@ class TestScore:
         assert record["payload"] == {"amount": 99.5}
 
 
+_NEEDS_MODEL = "{config}: --combiner bayes needs a config with a 'model' reference"
+_MODE_NOT_BAYES = "--mode does not apply to the bayes combiner"
+_MODE_NEEDS_DS = "--mode only applies to a Dempster combiner; use --combiner ds"
+
+
+class TestOverrides:
+    """How --combiner, --mode and --threshold resolve against the config's
+    combiner and threshold, and which message wins when several are wrong.
+    A status of 0 expects the report header; 2 expects the error message."""
+
+    @pytest.mark.parametrize(
+        "config_combiner, flags, status, expected",
+        [
+            ("bayes", ["--combiner", "ds"], 0, "combiner=ds-standard threshold=0.5000"),
+            ("ds-paper", ["--combiner", "ds"], 0, "combiner=ds-paper threshold=0.5000"),
+            (
+                "bayes",
+                ["--combiner", "ds", "--mode", "paper"],
+                0,
+                "combiner=ds-paper threshold=0.5000",
+            ),
+            (
+                "ds-paper",
+                ["--combiner", "ds", "--mode", "standard"],
+                0,
+                "combiner=ds-standard threshold=0.5000",
+            ),
+            ("ds-paper", ["--mode", "standard"], 0, "combiner=ds-standard threshold=0.5000"),
+            ("ds-paper", ["--mode", "paper"], 0, "combiner=ds-paper threshold=0.5000"),
+            ("bayes", ["--combiner", "bayes"], 0, "combiner=bayes threshold=0.5000"),
+            ("bayes", ["--threshold", "0.3"], 0, "combiner=bayes threshold=0.3000"),
+            ("ds-paper", ["--combiner", "bayes"], 2, _NEEDS_MODEL),
+            (
+                "ds-paper",
+                ["--combiner", "bayes", "--mode", "paper", "--threshold", "2"],
+                2,
+                _NEEDS_MODEL,
+            ),
+            ("bayes", ["--combiner", "bayes", "--mode", "paper"], 2, _MODE_NOT_BAYES),
+            (
+                "bayes",
+                ["--combiner", "bayes", "--mode", "standard", "--threshold", "2"],
+                2,
+                _MODE_NOT_BAYES,
+            ),
+            ("bayes", ["--mode", "paper"], 2, _MODE_NEEDS_DS),
+            ("bayes", ["--mode", "standard", "--threshold", "nan"], 2, _MODE_NEEDS_DS),
+            ("ds-paper", ["--threshold", "2"], 2, "--threshold must be in [0, 1], got 2.0"),
+            ("bayes", ["--threshold", "-0.1"], 2, "--threshold must be in [0, 1], got -0.1"),
+            (
+                "ds-paper",
+                ["--combiner", "ds", "--threshold", "nan"],
+                2,
+                "--threshold must be in [0, 1], got nan",
+            ),
+            (
+                "bayes",
+                ["--combiner", "ds", "--mode", "paper", "--threshold", "2"],
+                2,
+                "--threshold must be in [0, 1], got 2.0",
+            ),
+        ],
+    )
+    def test_resolution(self, capsys, request, config_combiner, flags, status, expected):
+        if config_combiner == "bayes":
+            config, batch, _ = request.getfixturevalue("bayes_setup")
+        else:
+            config, batch = request.getfixturevalue("paper_mode_setup")
+        capsys.readouterr()  # drop what a fixture printed
+        got_status, out, err = run_cli(capsys, "score", config, batch, *flags)
+        assert got_status == status
+        if status == 0:
+            assert err == ""
+            assert out.splitlines()[0] == expected
+        else:
+            assert out == ""
+            assert err == f"error: {expected.format(config=config)}\n"
+
+
 class TestCombine:
     def test_standard_example(self, capsys):
         status, out, _ = run_cli(
@@ -467,6 +546,26 @@ class TestCombine:
         assert (status, out) == (2, "")
         assert f"--mass {flag!r}" in err and "masses sum to inf" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("f=0.5,f=0.5,g=0.5", "component 'f' given twice"),
+            ("g=0.5,u=0.5", "both f=<x> and g=<y> are required"),
+            ("f=0.5,u=0.5", "both f=<x> and g=<y> are required"),
+            ("f=0.6,x=0.4", "expected f=<x>,g=<y>[,u=<z>], got part 'x=0.4'"),
+            ("f", "expected f=<x>,g=<y>[,u=<z>], got part 'f'"),
+            ("f=a,g=0.5", "'a' is not a number"),
+            ("f=0.5,g=0.5,u=0.5", "masses sum to 1.5, expected 1 within 1e-09"),
+            ("f=-0.5,g=1.5", "mass -0.5 on HypothesisSet({fraud}) is negative"),
+            ("f=0.5,g=nan", "mass nan on HypothesisSet({genuine}) is not finite"),
+        ],
+    )
+    def test_bad_mass_message(self, capsys, flag, message):
+        status, out, err = run_cli(capsys, "combine", "--mass", "f=0.5,g=0.5", "--mass", flag)
+        assert (status, out) == (2, "")
+        assert err == f"error: --mass {flag!r}: {message}\n"
 
 
 class TestModuleEntryPoint:

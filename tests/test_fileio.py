@@ -221,6 +221,26 @@ class TestModelFile:
             load_model(path)
 
 
+@pytest.mark.parametrize(
+    "likelihoods, message",
+    [
+        ([], "'likelihoods' must be an object"),
+        (
+            {"E1": {"p_given_fraud": 0.5, "p_given_genuine": 0.5}, "E2": 3},
+            "likelihood 'E2' must be an object",
+        ),
+    ],
+    ids=["likelihoods", "entry"],
+)
+def test_model_file_message(tmp_path, likelihoods, message):
+    path = tmp_path / "model.json"
+    document = {"format": "scorefusion-model/1", "likelihoods": likelihoods}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def write_config(tmp_path, document, name="rules.json"):
     path = tmp_path / name
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -231,6 +251,34 @@ BASIC_RULES = [
     {"id": "R1", "description": "velocity spike", "score": 0.75},
     {"id": "R2", "m_fraud": 0.3, "m_genuine": 0.2, "m_uncertain": 0.5},
 ]
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"rules": [5]}, "rule #1: must be an object"),
+        ({"rules": [{"score": 0.5}]}, "rule #1: missing or invalid 'id'"),
+        (
+            {"rules": [{"id": "R1", "score": 0.5}, {"id": 3, "score": 0.5}]},
+            "rule #2: missing or invalid 'id'",
+        ),
+        (
+            {"rules": [{"id": "R1", "score": 0.5, "description": 4}]},
+            "rule 'R1': 'description' must be a string",
+        ),
+        (
+            {"rules": [{"id": "R1", "description": "no masses"}]},
+            "rule 'R1': needs 'score' or explicit 'm_fraud'/'m_genuine' masses",
+        ),
+        (["rules"], "top level must be an object"),
+    ],
+    ids=["not-object", "id-missing", "id-not-string", "description", "no-masses", "top-level"],
+)
+def test_rule_config_message(tmp_path, document, message):
+    path = write_config(tmp_path, document)
+    with pytest.raises(ParseError) as info:
+        load_rule_config(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 class TestRuleConfig:
@@ -385,6 +433,22 @@ class TestBatchFile:
         with pytest.raises(ParseError) as info:
             load_batch(path)
         assert str(info.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "t2", "payload": [1]}',
+            '{"id": "t2", "payload": "web"}',
+            '{"id": "t2", "triggered": [], "payload": 0, "amount": 1}',
+        ],
+        ids=["list", "string", "number-beside-field"],
+    )
+    def test_non_object_payload_message(self, tmp_path, line):
+        path = tmp_path / "batch.jsonl"
+        path.write_text('{"id": "t1", "payload": {}}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_batch(path)
+        assert str(info.value) == f"{path}:2: 'payload' must be an object"
 
     @settings(deadline=None)  # file I/O per example
     @given(st.data())
