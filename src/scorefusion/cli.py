@@ -17,9 +17,8 @@ from dataclasses import replace
 from typing import Sequence
 
 from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
-from .combination import CombinationMode, combine_binary
+from .combination import combine_binary
 from .errors import DegenerateClass, FusionError, ParseError, TotalConflict
-from .evidence import MassFunction
 from .fileio import (
     load_batch,
     load_history_csv,
@@ -27,9 +26,7 @@ from .fileio import (
     save_model,
 )
 from .scoring import (
-    FRAUD_FRAME,
-    BayesCombiner,
-    Combiner,
+    DEMPSTER_MODES,
     DempsterCombiner,
     RuleSet,
     ScoreReport,
@@ -42,7 +39,8 @@ from .scoring import (
 # beside load_batch and load_rule_config: bench/tracing.py wraps them by name.
 from .scoring import rank, score  # noqa: F401
 
-_MODES = {"standard": CombinationMode.STANDARD, "paper": CombinationMode.SIMPLIFIED}
+# --mode standard|paper names the Dempster combiner ds-standard|ds-paper.
+_MODES = {name.removeprefix("ds-"): mode for name, mode in DEMPSTER_MODES.items()}
 
 _REPORT_FIELDS = (
     "rank",
@@ -136,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # here, so that a reader gone early is caught below
+        return status
     except BrokenPipeError:
         # The reader went away, as `| head` does. Stop quietly with the
         # status a SIGPIPE kill gives, and let what stdout still buffers
@@ -196,42 +196,36 @@ def cmd_score(args: argparse.Namespace) -> int:
     ruleset = _apply_overrides(load_rule_config(args.config), args)
     ranked, side = score_batch(ruleset, load_batch(args.batch))
     emit = {"table": _emit_table, "csv": _emit_csv, "jsonl": _emit_jsonl}[args.output]
-    emit(ranked, side, _combiner_name(ruleset.combiner), ruleset.threshold)
+    emit(ranked, side, ruleset.combiner.name, ruleset.threshold)
     return 0 if ranked else 1
 
 
 def _apply_overrides(ruleset: RuleSet, args: argparse.Namespace) -> RuleSet:
+    """The config's ruleset under the flags, itself when they change nothing.
+
+    ``--combiner ds`` keeps a Dempster config's mode, ``--mode`` picks one;
+    ``--combiner bayes`` needs a Bayes config. The first error wins.
+    """
+    dempster = isinstance(ruleset.combiner, DempsterCombiner)
+    if args.combiner == "bayes" and dempster:
+        raise ParseError(
+            f"{args.config}: --combiner bayes needs a config with a 'model' reference"
+        )
+    if args.mode and args.combiner == "bayes":
+        raise ParseError("--mode does not apply to the bayes combiner")
+    if args.mode and args.combiner is None and not dempster:
+        raise ParseError("--mode only applies to a Dempster combiner; use --combiner ds")
+    if args.threshold is not None and not 0.0 <= args.threshold <= 1.0:
+        raise ParseError(f"--threshold must be in [0, 1], got {args.threshold!r}")
     combiner = ruleset.combiner
-    if args.combiner == "bayes":
-        if not isinstance(combiner, BayesCombiner):
-            raise ParseError(
-                f"{args.config}: --combiner bayes needs a config with a 'model' reference"
-            )
-        if args.mode:
-            raise ParseError("--mode does not apply to the bayes combiner")
-    elif args.combiner == "ds":
-        mode = _MODES[args.mode] if args.mode else CombinationMode.STANDARD
-        if args.mode is None and isinstance(combiner, DempsterCombiner):
-            mode = combiner.mode
-        combiner = DempsterCombiner(mode)
-    elif args.mode:
-        if not isinstance(combiner, DempsterCombiner):
-            raise ParseError("--mode only applies to a Dempster combiner; use --combiner ds")
+    if args.mode:
         combiner = DempsterCombiner(_MODES[args.mode])
-    threshold = ruleset.threshold
-    if args.threshold is not None:
-        if not 0.0 <= args.threshold <= 1.0:
-            raise ParseError(f"--threshold must be in [0, 1], got {args.threshold!r}")
-        threshold = args.threshold
-    if combiner is ruleset.combiner and threshold == ruleset.threshold:
+    elif args.combiner == "ds" and not dempster:
+        combiner = DempsterCombiner()
+    threshold = ruleset.threshold if args.threshold is None else args.threshold
+    if combiner == ruleset.combiner and threshold == ruleset.threshold:
         return ruleset
     return replace(ruleset, combiner=combiner, threshold=threshold)
-
-
-def _combiner_name(combiner: Combiner) -> str:
-    if isinstance(combiner, BayesCombiner):
-        return "bayes"
-    return "ds-standard" if combiner.mode is CombinationMode.STANDARD else "ds-paper"
 
 
 def _emit_table(
@@ -379,17 +373,9 @@ def _parse_mass_flag(text: str) -> tuple[float, float, float]:
     if "f" not in values or "g" not in values:
         raise ParseError(f"--mass {text!r}: both f=<x> and g=<y> are required")
     try:
-        mass = MassFunction(
-            FRAUD_FRAME,
-            [
-                (FRAUD_FRAME.singleton("fraud"), values["f"]),
-                (FRAUD_FRAME.singleton("genuine"), values["g"]),
-                (FRAUD_FRAME.omega, values.get("u", 0.0)),
-            ],
-        )
+        return mass_triple(values["f"], values["g"], values.get("u", 0.0))
     except FusionError as exc:
         raise ParseError(f"--mass {text!r}: {exc}") from exc
-    return mass_triple(mass)
 
 
 if __name__ == "__main__":

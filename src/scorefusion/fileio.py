@@ -14,9 +14,16 @@ from pathlib import Path
 from typing import Any
 
 from .bayes import BayesModel, EvidenceCounts, LabeledHistory, Likelihood
-from .combination import CombinationMode
 from .errors import ParseError
-from .scoring import BayesCombiner, DempsterCombiner, RuleSet, RuleSpec, Transaction
+from .scoring import (
+    DEMPSTER_MODES,
+    BayesCombiner,
+    Combiner,
+    DempsterCombiner,
+    RuleSet,
+    RuleSpec,
+    Transaction,
+)
 
 # v1 config surface is pinned to the fraud/genuine frame.
 FRAME_LABELS = ("fraud", "genuine")
@@ -24,11 +31,6 @@ FRAME_LABELS = ("fraud", "genuine")
 HISTORY_HEADER = ("txn_id", "label", "rule_id")
 
 MODEL_FORMAT = "scorefusion-model/1"
-
-_COMBINER_MODES = {
-    "ds-standard": CombinationMode.STANDARD,
-    "ds-paper": CombinationMode.SIMPLIFIED,
-}
 
 # What json.loads runs once it has checked its input: one value from an index.
 _scan_json = json.JSONDecoder().scan_once
@@ -161,11 +163,9 @@ def load_rule_config(path: str | Path) -> RuleSet:
     if not isinstance(rules_doc, list) or not rules_doc:
         raise ParseError(f"{path}: 'rules' must be a non-empty list")
     rules = [_parse_rule(entry, index, path) for index, entry in enumerate(rules_doc)]
-    if isinstance(combiner_name, str) and combiner_name in _COMBINER_MODES:
-        combiner: BayesCombiner | DempsterCombiner = DempsterCombiner(
-            _COMBINER_MODES[combiner_name]
-        )
-    elif combiner_name == "bayes":
+    if isinstance(combiner_name, str) and combiner_name in DEMPSTER_MODES:
+        combiner: Combiner = DempsterCombiner(DEMPSTER_MODES[combiner_name])
+    elif combiner_name == BayesCombiner.name:
         model_ref = document.get("model")
         if not isinstance(model_ref, str) or not model_ref:
             raise ParseError(f"{path}: combiner 'bayes' needs a 'model' file reference")
@@ -174,10 +174,8 @@ def load_rule_config(path: str | Path) -> RuleSet:
             model_path = path.parent / model_path
         combiner = BayesCombiner(load_model(model_path))
     else:
-        raise ParseError(
-            f"{path}: combiner must be one of ds-standard, ds-paper, bayes; "
-            f"got {combiner_name!r}"
-        )
+        names = ", ".join([*DEMPSTER_MODES, BayesCombiner.name])
+        raise ParseError(f"{path}: combiner must be one of {names}; got {combiner_name!r}")
     try:
         return RuleSet.from_rules(rules, combiner, threshold)
     except ValueError as exc:

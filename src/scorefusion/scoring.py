@@ -4,9 +4,9 @@ classify against a threshold, and rank the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 # posterior and combine_all are no longer called here, but they stay module
 # attributes beside masses_for: bench/tracing.py wraps all three by name.
@@ -19,6 +19,9 @@ FRAUD_FRAME = Frame(("fraud", "genuine"))
 _FRAUD = FRAUD_FRAME.singleton("fraud")
 _GENUINE = FRAUD_FRAME.singleton("genuine")
 _EITHER = FRAUD_FRAME.omega
+
+# A Dempster combiner's name in a rule config and a report header, per mode.
+DEMPSTER_MODES = {"ds-standard": CombinationMode.STANDARD, "ds-paper": CombinationMode.SIMPLIFIED}
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,17 @@ class DempsterCombiner:
 
     mode: CombinationMode = CombinationMode.STANDARD
 
+    @property
+    def name(self) -> str:
+        return next(name for name, mode in DEMPSTER_MODES.items() if mode is self.mode)
+
 
 @dataclass(frozen=True)
 class BayesCombiner:
     """Fuse triggered rules through the naive-Bayes posterior of a fitted model."""
 
     model: BayesModel
+    name: ClassVar[str] = "bayes"
 
 
 Combiner = Union[DempsterCombiner, BayesCombiner]
@@ -94,11 +102,11 @@ Combiner = Union[DempsterCombiner, BayesCombiner]
 class RuleSet:
     """Immutable scoring configuration: rules, combiner choice, threshold.
 
-    ``triples`` holds each rule's (fraud, genuine, either) masses, read once
-    from its validated mass function, for the closed-form Dempster fold.
-    Under a Bayes combiner, ``pairs`` holds the model's
-    (p_given_fraud, p_given_genuine) for each rule the model knows, for the
-    rescaled posterior product; otherwise it is empty.
+    Only the table the combiner folds is compiled; the other is empty. Under
+    a Dempster combiner, ``triples`` holds each rule's :func:`mass_triple`,
+    for the closed-form fold. Under a Bayes combiner, ``pairs`` holds the
+    model's (p_given_fraud, p_given_genuine) for each rule the model knows,
+    for the rescaled posterior product.
     """
 
     rules: Mapping[str, RuleSpec]
@@ -119,16 +127,17 @@ class RuleSet:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
         object.__setattr__(self, "rules", rules)
-        triples = {rule_id: mass_triple(spec.to_mass()) for rule_id, spec in rules.items()}
+        triples, pairs = {}, {}
+        if isinstance(self.combiner, BayesCombiner):
+            likelihoods = self.combiner.model.likelihoods
+            pairs = {rule_id: likelihoods[rule_id] for rule_id in rules if rule_id in likelihoods}
+        else:
+            triples = {
+                rule_id: mass_triple(spec.m_fraud, spec.m_genuine, spec.m_uncertain)
+                for rule_id, spec in rules.items()
+            }
         object.__setattr__(self, "triples", triples)
-        likelihoods = (
-            self.combiner.model.likelihoods if isinstance(self.combiner, BayesCombiner) else {}
-        )
-        object.__setattr__(
-            self,
-            "pairs",
-            {rule_id: likelihoods[rule_id] for rule_id in rules if rule_id in likelihoods},
-        )
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def from_rules(
@@ -241,21 +250,7 @@ def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
     ordered = sorted(
         reports, key=lambda r: (-r.bel_fraud, -r.pl_fraud, r.transaction_id)
     )
-    return [
-        ScoreReport(
-            r.transaction_id,
-            r.bel_fraud,
-            r.pl_fraud,
-            r.point_estimate,
-            r.conflict,
-            r.n_sources,
-            r.suspicious,
-            r.confirmed,
-            position,
-            r.payload,
-        )
-        for position, r in enumerate(ordered, start=1)
-    ]
+    return [replace(r, rank=position) for position, r in enumerate(ordered, start=1)]
 
 
 SideRow = tuple[Transaction, str, Union[str, None]]
@@ -349,9 +344,11 @@ def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float
     return fold_dempster
 
 
-def mass_triple(m: MassFunction) -> tuple[float, float, float]:
-    """The (fraud, genuine, either) masses of a validated mass function on
-    FRAUD_FRAME: how a rule is compiled, and how ``combine`` reads a source."""
+def mass_triple(fraud: float, genuine: float, either: float) -> tuple[float, float, float]:
+    """The masses as FRAUD_FRAME's mass function stores them: validated, and
+    rescaled to sum to exactly 1. How a rule is compiled, and how
+    ``combine`` reads a source; raises the mass function's FusionError."""
+    m = MassFunction(FRAUD_FRAME, [(_FRAUD, fraud), (_GENUINE, genuine), (_EITHER, either)])
     return m.mass(_FRAUD), m.mass(_GENUINE), m.mass(_EITHER)
 
 

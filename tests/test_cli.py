@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorefusion import fit, posterior
-from scorefusion.cli import main
-from scorefusion.fileio import load_history_csv, load_model
+from scorefusion.cli import _apply_overrides, build_parser, main
+from scorefusion.fileio import load_history_csv, load_model, load_rule_config
 
 
 def run_cli(capsys, *argv):
@@ -443,6 +443,16 @@ class TestOverrides:
             assert out == ""
             assert err == f"error: {expected.format(config=config)}\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--combiner", "ds"], ["--mode", "paper"], ["--combiner", "ds", "--threshold", "0.5"]],
+    )
+    def test_unchanged_resolution_keeps_the_ruleset(self, paper_mode_setup, flags):
+        config, batch = paper_mode_setup
+        ruleset = load_rule_config(config)
+        args = build_parser().parse_args(["score", config, batch, *flags])
+        assert _apply_overrides(ruleset, args) is ruleset
+
 
 class TestCombine:
     def test_standard_example(self, capsys):
@@ -629,6 +639,34 @@ class TestModuleEntryPoint:
         assert proc.wait(timeout=60) == 141
         assert first == b"combiner=ds-paper threshold=0.5000\n"
         assert err == b""
+
+    @pytest.mark.parametrize("command", ["score", "fit", "combine"])
+    def test_closed_stdout_exits_141_at_final_flush(
+        self, tmp_path, paper_mode_setup, history_csv, command
+    ):
+        # Block-buffered, a short output reaches the pipe only when stdout
+        # is flushed on the way out.
+        argv = {
+            "score": ["score", *paper_mode_setup],
+            "fit": ["fit", str(history_csv), str(tmp_path / "model.json")],
+            "combine": ["combine", "--mass", "f=0.6,g=0.4", "--mass", "f=0.8,g=0.2"],
+        }[command]
+        env = self.env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "scorefusion", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                cwd=tmp_path,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @st.composite

@@ -222,6 +222,17 @@ class TestScoreDempster:
         assert ruleset.triples == {"R1": (m.mass(FRAUD), m.mass(genuine), m.mass(OMEGA))}
         assert replace(ruleset, combiner=SIMPLIFIED).triples == ruleset.triples
 
+    def test_combiner_names(self):
+        assert (STANDARD.name, SIMPLIFIED.name, BayesCombiner.name) == (
+            "ds-standard",
+            "ds-paper",
+            "bayes",
+        )
+        assert scoring.DEMPSTER_MODES == {
+            "ds-standard": CombinationMode.STANDARD,
+            "ds-paper": CombinationMode.SIMPLIFIED,
+        }
+
     def test_deterministic(self):
         ruleset = ds_ruleset(
             [RuleSpec("R1", 0.7, 0.1, 0.2), RuleSpec("R2", 0.3, 0.2, 0.5)],
@@ -284,6 +295,11 @@ class TestScoreBayesFold:
         assert ruleset.pairs == {"E1": model.likelihoods["E1"]}
         assert ds_ruleset([RuleSpec.from_score("E1", 0.5)]).pairs == {}
         assert replace(ruleset, threshold=0.9).pairs == ruleset.pairs
+
+    def test_ruleset_compiles_no_triples(self):
+        ruleset, _ = bayes_ruleset(0.25, {"E1": (0.5, 0.25)}, extra_rules=["R9"])
+        assert ruleset.triples == {}
+        assert replace(ruleset, combiner=STANDARD).triples.keys() == {"E1", "R9"}
 
     def test_folds_in_sorted_id_order(self):
         # Multiplied in trigger order (E2, E1, E3), the last bit differs.
