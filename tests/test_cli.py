@@ -236,6 +236,56 @@ class TestScore:
         statuses = {record["id"]: record["status"] for record in records}
         assert statuses == {"t1": "scored", "t2": "skipped"}
 
+    @pytest.mark.parametrize(
+        "output, rows",
+        [
+            (
+                "csv",
+                [
+                    "# combiner=ds-paper threshold=0.5",
+                    "rank,id,bel_fraud,pl_fraud,point_estimate,conflict,n_sources,"
+                    "suspicious,confirmed,status,error",
+                    "1,t-ok,0.25301204819277107,0.9759036144578312,0.25301204819277107,"
+                    "0.16999999999999993,2,true,false,scored,",
+                    ",t-none,,,,,0,,,skipped,",
+                    ",t-bad,,,,,2,,,error,UnknownRule",
+                ],
+            ),
+            (
+                "jsonl",
+                [
+                    '{"combiner": "ds-paper", "threshold": 0.5}',
+                    '{"rank": 1, "id": "t-ok", "bel_fraud": 0.25301204819277107, '
+                    '"pl_fraud": 0.9759036144578312, "point_estimate": 0.25301204819277107, '
+                    '"conflict": 0.16999999999999993, "n_sources": 2, "suspicious": true, '
+                    '"confirmed": false, "status": "scored"}',
+                    '{"id": "t-none", "n_sources": 0, "status": "skipped", '
+                    '"payload": {"amount": 5}}',
+                    '{"id": "t-bad", "n_sources": 2, "status": "error", "error": "UnknownRule", '
+                    '"payload": {"ip": "10.0.0.1"}}',
+                ],
+            ),
+        ],
+    )
+    def test_side_rows_exact_output(self, capsys, tmp_path, paper_mode_setup, output, rows):
+        config, _ = paper_mode_setup
+        batch = write(
+            tmp_path / "side.jsonl",
+            '{"id": "t-ok", "triggered": ["R1", "R2"]}\n'
+            '{"id": "t-none", "triggered": [], "amount": 5}\n'
+            '{"id": "t-bad", "triggered": ["R1", "R9"], "payload": {"ip": "10.0.0.1"}}\n',
+        )
+        status, out, err = run_cli(capsys, "score", config, batch, "--output", output)
+        assert (status, err) == (0, "")
+        assert out == "".join(row + "\n" for row in rows)
+
+    def test_missing_config_names_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        batch = write(tmp_path / "batch.jsonl", '{"id": "t1", "triggered": ["R1"]}\n')
+        status, out, err = run_cli(capsys, "score", "nope.json", batch)
+        assert (status, out) == (2, "")
+        assert err == "error: nope.json: No such file or directory\n"
+
     def test_mode_override_changes_result(self, capsys, paper_mode_setup):
         config, batch = paper_mode_setup
         _, paper_out, _ = run_cli(capsys, "score", config, batch, "--output", "jsonl")

@@ -271,8 +271,41 @@ BASIC_RULES = [
             "rule 'R1': needs 'score' or explicit 'm_fraud'/'m_genuine' masses",
         ),
         (["rules"], "top level must be an object"),
+        (
+            {"rules": [{"id": "R1", "score": 0.5}, {"id": "R1", "score": 0.7}]},
+            "duplicate rule id 'R1'",
+        ),
+        (
+            {"threshold": 1.5, "rules": [{"id": "R1", "score": 0.5}]},
+            "threshold must be in [0, 1], got 1.5",
+        ),
+        # Within 1e-9 of 1 as RuleSpec adds them, outside it under fsum, so
+        # the rule's mass function is what rejects them.
+        (
+            {
+                "rules": [
+                    {
+                        "id": "R1",
+                        "m_fraud": 0.8329752851974283,
+                        "m_genuine": 0.0809306695647479,
+                        "m_uncertain": 0.08609404423782382,
+                    }
+                ]
+            },
+            "masses sum to 0.9999999989999999, expected 1 within 1e-09",
+        ),
     ],
-    ids=["not-object", "id-missing", "id-not-string", "description", "no-masses", "top-level"],
+    ids=[
+        "not-object",
+        "id-missing",
+        "id-not-string",
+        "description",
+        "no-masses",
+        "top-level",
+        "duplicate-id",
+        "threshold",
+        "fsum-unnormalized",
+    ],
 )
 def test_rule_config_message(tmp_path, document, message):
     path = write_config(tmp_path, document)
@@ -422,8 +455,20 @@ class TestBatchFile:
                 "increase the limit",
             ),
             ('﻿{"id": "t2"}', "invalid record: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            ('{"triggered": []}', "missing or invalid 'id'"),
+            ('{"id": "t2", "triggered": ["R1", 2]}', "'triggered' must be a list of rule ids"),
         ],
-        ids=["invalid", "trailing", "two-objects", "non-object", "too-deep", "long-int", "bom"],
+        ids=[
+            "invalid",
+            "trailing",
+            "two-objects",
+            "non-object",
+            "too-deep",
+            "long-int",
+            "bom",
+            "id-missing",
+            "triggered-not-ids",
+        ],
     )
     def test_bad_line_message(self, tmp_path, line, message):
         if "digits" in message and not hasattr(sys, "get_int_max_str_digits"):
