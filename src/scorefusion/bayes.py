@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import (
     DegenerateClass,
     EmptyHistory,
+    InvalidValue,
     NoEvidence,
     NonPositiveLikelihood,
     UnknownEvidence,
@@ -58,20 +59,20 @@ class LabeledHistory:
         if self.total < 1:
             raise EmptyHistory("history contains no transactions")
         if not 0 <= self.fraud_count <= self.total:
-            raise ValueError(
+            raise InvalidValue(
                 f"fraud_count {self.fraud_count} out of range for total {self.total}"
             )
         evidence = {eid: EvidenceCounts(*counts) for eid, counts in dict(self.evidence).items()}
         for eid, counts in evidence.items():
             if counts.fraud < 0 or counts.genuine < 0:
-                raise ValueError(f"evidence {eid!r} has negative counts")
+                raise InvalidValue(f"evidence {eid!r} has negative counts")
             if counts.fraud > self.fraud_count:
-                raise ValueError(
+                raise InvalidValue(
                     f"evidence {eid!r}: {counts.fraud} fraud triggers exceed "
                     f"{self.fraud_count} frauds"
                 )
             if counts.genuine > self.genuine_count:
-                raise ValueError(
+                raise InvalidValue(
                     f"evidence {eid!r}: {counts.genuine} genuine triggers exceed "
                     f"{self.genuine_count} genuines"
                 )
@@ -96,9 +97,9 @@ class BayesModel:
         for name in ("prior_fraud", "prior_genuine"):
             prior = getattr(self, name)
             if not 0.0 <= prior <= 1.0:
-                raise ValueError(f"{name} {prior!r} outside [0, 1]")
+                raise InvalidValue(f"{name} {prior!r} outside [0, 1]")
         if abs(self.prior_fraud + self.prior_genuine - 1.0) > 1e-12:
-            raise ValueError(
+            raise InvalidValue(
                 f"priors {self.prior_fraud!r} + {self.prior_genuine!r} do not sum to 1"
             )
         likelihoods = {
@@ -106,7 +107,7 @@ class BayesModel:
         }
         for eid, pair in likelihoods.items():
             if not (0.0 <= pair.p_given_fraud <= 1.0 and 0.0 <= pair.p_given_genuine <= 1.0):
-                raise ValueError(f"evidence {eid!r} likelihoods {pair} outside [0, 1]")
+                raise InvalidValue(f"evidence {eid!r} likelihoods {pair} outside [0, 1]")
         object.__setattr__(self, "likelihoods", likelihoods)
 
 
@@ -150,9 +151,9 @@ def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:
 
 
 def check_smoothing(smoothing: float) -> float:
-    """Return ``smoothing`` if it is finite and >= 0, else raise ValueError."""
+    """Return ``smoothing`` if it is finite and >= 0, else raise InvalidValue."""
     if not (math.isfinite(smoothing) and smoothing >= 0.0):
-        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing!r}")
+        raise InvalidValue(f"smoothing must be finite and >= 0, got {smoothing!r}")
     return smoothing
 
 

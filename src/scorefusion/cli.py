@@ -132,11 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        status = args.handler(args)
-        sys.stdout.flush()  # here, so that a reader gone early is caught below
-        return status
+        try:
+            args = build_parser().parse_args(argv)  # --help prints, then exits
+            return args.handler(args)
+        finally:
+            sys.stdout.flush()  # here, so that a reader gone early is caught below
     except BrokenPipeError:
         # The reader went away, as `| head` does. Stop quietly with the
         # status a SIGPIPE kill gives, and let what stdout still buffers
@@ -145,12 +146,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except DegenerateClass as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (FusionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # TotalConflict reaches here only from combine: score makes it a side row.
+        return {TotalConflict: 1, DegenerateClass: 3}.get(type(exc), 2)
 
 
 def run() -> None:
@@ -209,7 +208,7 @@ def _apply_overrides(ruleset: RuleSet, args: argparse.Namespace) -> RuleSet:
     dempster = isinstance(ruleset.combiner, DempsterCombiner)
     if args.combiner == "bayes" and dempster:
         raise ParseError(
-            f"{args.config}: --combiner bayes needs a config with a 'model' reference"
+            f"{args.config}: --combiner bayes needs a config whose combiner is 'bayes'"
         )
     if args.mode and args.combiner == "bayes":
         raise ParseError("--mode does not apply to the bayes combiner")
@@ -337,11 +336,7 @@ def cmd_combine(args: argparse.Namespace) -> int:
         raise ParseError("need at least two --mass flags to combine")
     sources = [_parse_mass_flag(text) for text in args.mass]
     steps: list[tuple[float, float, float, float]] = []
-    try:
-        bel, pl, conflict = combine_binary(sources, _MODES[args.mode], steps)
-    except TotalConflict as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    bel, pl, conflict = combine_binary(sources, _MODES[args.mode], steps)
     _, fraud, genuine, uncertain = steps[-1]
     print(f"mode={args.mode} sources={len(sources)}")
     print(f"K per step: {' '.join(f'{step[0]:.4f}' for step in steps)}")

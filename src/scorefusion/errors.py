@@ -5,6 +5,10 @@ class FusionError(ValueError):
     """Base class for all scorefusion errors."""
 
 
+class InvalidValue(FusionError):
+    """A value breaks a constructor's or function's precondition."""
+
+
 class NegativeMass(FusionError):
     """A mass assignment carries a negative value."""
 

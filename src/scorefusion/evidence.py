@@ -15,6 +15,7 @@ from .errors import (
     DuplicateSet,
     EmptySetMass,
     ForeignSet,
+    InvalidValue,
     NegativeMass,
     NonFiniteMass,
     NotNormalized,
@@ -39,15 +40,15 @@ class Frame:
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         if not labels:
-            raise ValueError("a frame needs at least one hypothesis")
+            raise InvalidValue("a frame needs at least one hypothesis")
         if len(labels) > MAX_FRAME_SIZE:
-            raise ValueError(
+            raise InvalidValue(
                 f"frame has {len(labels)} hypotheses, cap is {MAX_FRAME_SIZE}"
             )
         if any(not isinstance(label, str) or not label for label in labels):
-            raise ValueError("hypothesis labels must be non-empty strings")
+            raise InvalidValue("hypothesis labels must be non-empty strings")
         if len(set(labels)) != len(labels):
-            raise ValueError(f"hypothesis labels must be unique, got {labels}")
+            raise InvalidValue(f"hypothesis labels must be unique, got {labels}")
 
     @property
     def size(self) -> int:
@@ -57,7 +58,7 @@ class Frame:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise ValueError(f"unknown hypothesis {label!r}") from None
+            raise InvalidValue(f"unknown hypothesis {label!r}") from None
 
     def subset(self, labels: Iterable[str]) -> "HypothesisSet":
         """The hypothesis set containing exactly the given labels."""
@@ -91,7 +92,7 @@ class HypothesisSet:
 
     def __post_init__(self) -> None:
         if not 0 <= self.mask < (1 << self.frame.size):
-            raise ValueError(
+            raise InvalidValue(
                 f"mask {self.mask:#x} does not fit a frame of {self.frame.size}"
             )
 
@@ -132,7 +133,7 @@ class BeliefInterval:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.bel <= self.pl <= 1.0:
-            raise ValueError(f"invalid belief interval [{self.bel!r}, {self.pl!r}]")
+            raise InvalidValue(f"invalid belief interval [{self.bel!r}, {self.pl!r}]")
 
     @property
     def width(self) -> float:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from .bayes import BayesModel, EvidenceCounts, LabeledHistory, Likelihood
-from .errors import ParseError
+from .errors import FusionError, InvalidValue, ParseError
 from .scoring import (
     DEMPSTER_MODES,
     BayesCombiner,
@@ -143,7 +143,7 @@ def load_model(path: str | Path) -> BayesModel:
             likelihoods=likelihoods,
             smoothing=_number(document, "smoothing", str(path)),
         )
-    except ValueError as exc:
+    except InvalidValue as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -162,7 +162,10 @@ def load_rule_config(path: str | Path) -> RuleSet:
     rules_doc = document.get("rules")
     if not isinstance(rules_doc, list) or not rules_doc:
         raise ParseError(f"{path}: 'rules' must be a non-empty list")
-    rules = [_parse_rule(entry, index, path) for index, entry in enumerate(rules_doc)]
+    try:
+        rules = [_parse_rule(entry, index, path) for index, entry in enumerate(rules_doc)]
+    except InvalidValue as exc:  # RuleSpec's message names the rule
+        raise ParseError(f"{path}: {exc}") from exc
     if isinstance(combiner_name, str) and combiner_name in DEMPSTER_MODES:
         combiner: Combiner = DempsterCombiner(DEMPSTER_MODES[combiner_name])
     elif combiner_name == BayesCombiner.name:
@@ -178,7 +181,7 @@ def load_rule_config(path: str | Path) -> RuleSet:
         raise ParseError(f"{path}: combiner must be one of {names}; got {combiner_name!r}")
     try:
         return RuleSet.from_rules(rules, combiner, threshold)
-    except ValueError as exc:
+    except FusionError as exc:  # InvalidValue, or a rule's mass function's error
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -269,22 +272,19 @@ def _parse_rule(entry: Any, index: int, path: Path) -> RuleSpec:
         raise ParseError(
             f"{where}: give either score/uncertainty or explicit masses, not both"
         )
-    try:
-        if has_score:
-            score = _number(entry, "score", where)
-            uncertainty = (
-                _number(entry, "uncertainty", where) if "uncertainty" in entry else 0.0
-            )
-            return RuleSpec.from_score(rule_id, score, uncertainty, description)
-        if has_masses:
-            m_fraud = _number(entry, "m_fraud", where)
-            m_genuine = _number(entry, "m_genuine", where)
-            m_uncertain = (
-                _number(entry, "m_uncertain", where) if "m_uncertain" in entry else 0.0
-            )
-            return RuleSpec(rule_id, m_fraud, m_genuine, m_uncertain, description)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    if has_score:
+        score = _number(entry, "score", where)
+        uncertainty = (
+            _number(entry, "uncertainty", where) if "uncertainty" in entry else 0.0
+        )
+        return RuleSpec.from_score(rule_id, score, uncertainty, description)
+    if has_masses:
+        m_fraud = _number(entry, "m_fraud", where)
+        m_genuine = _number(entry, "m_genuine", where)
+        m_uncertain = (
+            _number(entry, "m_uncertain", where) if "m_uncertain" in entry else 0.0
+        )
+        return RuleSpec(rule_id, m_fraud, m_genuine, m_uncertain, description)
     raise ParseError(f"{where}: needs 'score' or explicit 'm_fraud'/'m_genuine' masses")
 
 

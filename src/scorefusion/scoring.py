@@ -12,7 +12,7 @@ from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence, 
 # attributes beside masses_for: bench/tracing.py wraps all three by name.
 from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
 from .combination import CombinationMode, combine_all, combine_binary  # noqa: F401
-from .errors import FusionError, NoEvidence, UnknownRule
+from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule
 from .evidence import Frame, MassFunction
 
 FRAUD_FRAME = Frame(("fraud", "genuine"))
@@ -41,16 +41,16 @@ class RuleSpec:
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise ValueError("rule id must be non-empty")
+            raise InvalidValue("rule id must be non-empty")
         for name in ("m_fraud", "m_genuine", "m_uncertain"):
             value = getattr(self, name)
             if not (isfinite(value) and value >= 0.0):
-                raise ValueError(
+                raise InvalidValue(
                     f"rule {self.id!r}: {name} must be finite and >= 0, got {value!r}"
                 )
         total = self.m_fraud + self.m_genuine + self.m_uncertain
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"rule {self.id!r}: masses sum to {total!r}, expected 1")
+            raise InvalidValue(f"rule {self.id!r}: masses sum to {total!r}, expected 1")
 
     @classmethod
     def from_score(
@@ -61,9 +61,9 @@ class RuleSpec:
         description: str = "",
     ) -> "RuleSpec":
         if not 0.0 <= score <= 1.0:  # also rejects NaN
-            raise ValueError(f"rule {rule_id!r}: score must be in [0, 1], got {score!r}")
+            raise InvalidValue(f"rule {rule_id!r}: score must be in [0, 1], got {score!r}")
         if not 0.0 <= uncertainty <= 1.0:
-            raise ValueError(
+            raise InvalidValue(
                 f"rule {rule_id!r}: uncertainty must be in [0, 1], got {uncertainty!r}"
             )
         certain = 1.0 - uncertainty
@@ -123,9 +123,9 @@ class RuleSet:
         rules = dict(self.rules)
         for rule_id, spec in rules.items():
             if rule_id != spec.id:
-                raise ValueError(f"rule key {rule_id!r} does not match spec id {spec.id!r}")
+                raise InvalidValue(f"rule key {rule_id!r} does not match spec id {spec.id!r}")
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
+            raise InvalidValue(f"threshold must be in [0, 1], got {self.threshold!r}")
         object.__setattr__(self, "rules", rules)
         triples, pairs = {}, {}
         if isinstance(self.combiner, BayesCombiner):
@@ -149,7 +149,7 @@ class RuleSet:
         by_id: dict[str, RuleSpec] = {}
         for spec in rules:
             if spec.id in by_id:
-                raise ValueError(f"duplicate rule id {spec.id!r}")
+                raise InvalidValue(f"duplicate rule id {spec.id!r}")
             by_id[spec.id] = spec
         return cls(by_id, combiner, threshold)
 
@@ -207,7 +207,7 @@ def classify(bel_fraud: float, pl_fraud: float, threshold: float) -> Classificat
     suspicious because bel <= pl.
     """
     if bel_fraud > pl_fraud:
-        raise ValueError(f"bel {bel_fraud!r} exceeds pl {pl_fraud!r}")
+        raise InvalidValue(f"bel {bel_fraud!r} exceeds pl {pl_fraud!r}")
     return ClassificationFlags(
         suspicious=pl_fraud > threshold, confirmed=bel_fraud > threshold
     )

@@ -415,7 +415,7 @@ class TestScore:
         assert record["payload"] == {"amount": 99.5}
 
 
-_NEEDS_MODEL = "{config}: --combiner bayes needs a config with a 'model' reference"
+_NEEDS_BAYES = "{config}: --combiner bayes needs a config whose combiner is 'bayes'"
 _MODE_NOT_BAYES = "--mode does not apply to the bayes combiner"
 _MODE_NEEDS_DS = "--mode only applies to a Dempster combiner; use --combiner ds"
 
@@ -446,12 +446,12 @@ class TestOverrides:
             ("ds-paper", ["--mode", "paper"], 0, "combiner=ds-paper threshold=0.5000"),
             ("bayes", ["--combiner", "bayes"], 0, "combiner=bayes threshold=0.5000"),
             ("bayes", ["--threshold", "0.3"], 0, "combiner=bayes threshold=0.3000"),
-            ("ds-paper", ["--combiner", "bayes"], 2, _NEEDS_MODEL),
+            ("ds-paper", ["--combiner", "bayes"], 2, _NEEDS_BAYES),
             (
                 "ds-paper",
                 ["--combiner", "bayes", "--mode", "paper", "--threshold", "2"],
                 2,
-                _NEEDS_MODEL,
+                _NEEDS_BAYES,
             ),
             ("bayes", ["--combiner", "bayes", "--mode", "paper"], 2, _MODE_NOT_BAYES),
             (
@@ -690,16 +690,18 @@ class TestModuleEntryPoint:
         assert first == b"combiner=ds-paper threshold=0.5000\n"
         assert err == b""
 
-    @pytest.mark.parametrize("command", ["score", "fit", "combine"])
+    @pytest.mark.parametrize("command", ["score", "fit", "combine", "help", "score-help"])
     def test_closed_stdout_exits_141_at_final_flush(
         self, tmp_path, paper_mode_setup, history_csv, command
     ):
         # Block-buffered, a short output reaches the pipe only when stdout
-        # is flushed on the way out.
+        # is flushed on the way out; argparse prints --help and exits.
         argv = {
             "score": ["score", *paper_mode_setup],
             "fit": ["fit", str(history_csv), str(tmp_path / "model.json")],
             "combine": ["combine", "--mass", "f=0.6,g=0.4", "--mass", "f=0.8,g=0.2"],
+            "help": ["--help"],
+            "score-help": ["score", "--help"],
         }[command]
         env = self.env()
         env.pop("PYTHONUNBUFFERED", None)
