@@ -135,10 +135,14 @@ def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:
         raise DegenerateClass(
             "unsmoothed fit needs at least one fraud and one genuine transaction"
         )
+    # Smoothing above 1 halves both sides, so class_total + 2a cannot overflow
+    # near the float maximum; halving a numerator above 1 is exact, so the
+    # quotient is the plain one bit for bit wherever that is finite.
+    half = 0.5 if smoothing > 1.0 else 1.0
     likelihoods = {
         eid: Likelihood(
-            (counts.fraud + smoothing) / (frauds + 2.0 * smoothing),
-            (counts.genuine + smoothing) / (genuines + 2.0 * smoothing),
+            half * (counts.fraud + smoothing) / (half * frauds + half * 2.0 * smoothing),
+            half * (counts.genuine + smoothing) / (half * genuines + half * 2.0 * smoothing),
         )
         for eid, counts in sorted(history.evidence.items())
     }

@@ -147,7 +147,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.close(devnull)
         return 141
     except (FusionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        named = isinstance(exc, OSError) and exc.filename is not None  # file errors end here
+        print("error:", f"{exc.filename}: {exc.strerror}" if named else exc, file=sys.stderr)
         # TotalConflict reaches here only from combine: score makes it a side row.
         return {TotalConflict: 1, DegenerateClass: 3}.get(type(exc), 2)
 

@@ -2,7 +2,8 @@
 
 All structured files are JSON (decimal numbers, UTF-8); the history input is
 CSV. Parse failures raise :class:`ParseError` with the file and, where it
-applies, the line or rule that is at fault.
+applies, the line or rule that is at fault; a file the OS cannot open or read
+raises its ``OSError``, which carries the file name.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .bayes import BayesModel, EvidenceCounts, LabeledHistory, Likelihood
-from .errors import FusionError, InvalidValue, ParseError
+from .errors import EmptyHistory, FusionError, ParseError
 from .scoring import (
     DEMPSTER_MODES,
     BayesCombiner,
@@ -43,13 +45,12 @@ def load_history_csv(path: str | Path) -> LabeledHistory:
     empty rule_id. Duplicate (txn, rule) rows collapse; conflicting labels
     for one transaction are an error.
     """
-    path = Path(path)
     labels: dict[str, str] = {}
     triggers: set[tuple[str, str]] = set()
     # Each (txn, rule) pair is counted when first seen, under the row's
     # label, which the conflict check has just forced to be the txn's label.
     tallies: dict[str, list[int]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _naming(path) as path, open(path, newline="", encoding="utf-8") as handle:
         try:
             reader = csv.reader(handle)
             header = next(reader, None)
@@ -86,10 +87,10 @@ def load_history_csv(path: str | Path) -> LabeledHistory:
                 if rule_id and (txn_id, rule_id) not in triggers:
                     triggers.add((txn_id, rule_id))
                     tallies.setdefault(rule_id, [0, 0])[0 if label == "fraud" else 1] += 1
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
         except csv.Error as exc:
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not labels:  # outside the naming scope, which would make it a ParseError
+        raise EmptyHistory(f"{path}: history contains no transactions")
     total = len(labels)
     fraud_count = sum(1 for value in labels.values() if value == "fraud")
     evidence = {
@@ -118,33 +119,30 @@ def save_model(model: BayesModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BayesModel:
-    path = Path(path)
-    document = _read_json_object(path)
-    if document.get("format") != MODEL_FORMAT:
-        raise ParseError(
-            f"{path}: not a model file (format {document.get('format')!r}, "
-            f"expected {MODEL_FORMAT!r})"
-        )
-    likelihoods_doc = document.get("likelihoods")
-    if not isinstance(likelihoods_doc, dict):
-        raise ParseError(f"{path}: 'likelihoods' must be an object")
-    likelihoods = {}
-    for eid, entry in likelihoods_doc.items():
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: likelihood {eid!r} must be an object")
-        likelihoods[eid] = Likelihood(
-            _number(entry, "p_given_fraud", f"{path}: likelihood {eid!r}"),
-            _number(entry, "p_given_genuine", f"{path}: likelihood {eid!r}"),
-        )
-    try:
+    with _naming(path) as path:
+        document = _read_json_object(path)
+        if document.get("format") != MODEL_FORMAT:
+            raise ParseError(
+                f"{path}: not a model file (format {document.get('format')!r}, "
+                f"expected {MODEL_FORMAT!r})"
+            )
+        likelihoods_doc = document.get("likelihoods")
+        if not isinstance(likelihoods_doc, dict):
+            raise ParseError(f"{path}: 'likelihoods' must be an object")
+        likelihoods = {}
+        for eid, entry in likelihoods_doc.items():
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: likelihood {eid!r} must be an object")
+            likelihoods[eid] = Likelihood(
+                _number(entry, "p_given_fraud", f"{path}: likelihood {eid!r}"),
+                _number(entry, "p_given_genuine", f"{path}: likelihood {eid!r}"),
+            )
         return BayesModel(
             prior_fraud=_number(document, "prior_fraud", str(path)),
             prior_genuine=_number(document, "prior_genuine", str(path)),
             likelihoods=likelihoods,
             smoothing=_number(document, "smoothing", str(path)),
         )
-    except InvalidValue as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_rule_config(path: str | Path) -> RuleSet:
@@ -152,37 +150,31 @@ def load_rule_config(path: str | Path) -> RuleSet:
 
     A relative model reference is resolved against the config's directory.
     """
-    path = Path(path)
-    document = _read_json_object(path)
-    frame = document.get("frame", list(FRAME_LABELS))
-    if not isinstance(frame, list) or tuple(frame) != FRAME_LABELS:
-        raise ParseError(f"{path}: frame must be {list(FRAME_LABELS)}, got {frame!r}")
-    combiner_name = document.get("combiner", "ds-standard")
-    threshold = _number(document, "threshold", str(path)) if "threshold" in document else 0.5
-    rules_doc = document.get("rules")
-    if not isinstance(rules_doc, list) or not rules_doc:
-        raise ParseError(f"{path}: 'rules' must be a non-empty list")
-    try:
+    with _naming(path) as path:
+        document = _read_json_object(path)
+        frame = document.get("frame", list(FRAME_LABELS))
+        if not isinstance(frame, list) or tuple(frame) != FRAME_LABELS:
+            raise ParseError(f"{path}: frame must be {list(FRAME_LABELS)}, got {frame!r}")
+        combiner_name = document.get("combiner", "ds-standard")
+        threshold = _number(document, "threshold", str(path)) if "threshold" in document else 0.5
+        rules_doc = document.get("rules")
+        if not isinstance(rules_doc, list) or not rules_doc:
+            raise ParseError(f"{path}: 'rules' must be a non-empty list")
         rules = [_parse_rule(entry, index, path) for index, entry in enumerate(rules_doc)]
-    except InvalidValue as exc:  # RuleSpec's message names the rule
-        raise ParseError(f"{path}: {exc}") from exc
-    if isinstance(combiner_name, str) and combiner_name in DEMPSTER_MODES:
-        combiner: Combiner = DempsterCombiner(DEMPSTER_MODES[combiner_name])
-    elif combiner_name == BayesCombiner.name:
-        model_ref = document.get("model")
-        if not isinstance(model_ref, str) or not model_ref:
-            raise ParseError(f"{path}: combiner 'bayes' needs a 'model' file reference")
-        model_path = Path(model_ref)
-        if not model_path.is_absolute():
-            model_path = path.parent / model_path
-        combiner = BayesCombiner(load_model(model_path))
-    else:
-        names = ", ".join([*DEMPSTER_MODES, BayesCombiner.name])
-        raise ParseError(f"{path}: combiner must be one of {names}; got {combiner_name!r}")
-    try:
+        if isinstance(combiner_name, str) and combiner_name in DEMPSTER_MODES:
+            combiner: Combiner = DempsterCombiner(DEMPSTER_MODES[combiner_name])
+        elif combiner_name == BayesCombiner.name:
+            model_ref = document.get("model")
+            if not isinstance(model_ref, str) or not model_ref:
+                raise ParseError(f"{path}: combiner 'bayes' needs a 'model' file reference")
+            model_path = Path(model_ref)
+            if not model_path.is_absolute():
+                model_path = path.parent / model_path
+            combiner = BayesCombiner(load_model(model_path))
+        else:
+            names = ", ".join([*DEMPSTER_MODES, BayesCombiner.name])
+            raise ParseError(f"{path}: combiner must be one of {names}; got {combiner_name!r}")
         return RuleSet.from_rules(rules, combiner, threshold)
-    except FusionError as exc:  # InvalidValue, or a rule's mass function's error
-        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_batch(path: str | Path) -> list[Transaction]:
@@ -191,58 +183,54 @@ def load_batch(path: str | Path) -> list[Transaction]:
     Each line is an object {id, triggered, payload?}; any unknown fields are
     folded into the payload. Transaction ids must be unique within the batch.
     """
-    path = Path(path)
     transactions: list[Transaction] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        try:
-            for line_number, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                # The decoder's own scanner, without json.loads' wrapping.
-                # A line it does not take whole goes through json.loads,
-                # whose error the message is built from.
-                try:
-                    record, end = _scan_json(text, 0)
-                except (ValueError, StopIteration, RecursionError):
-                    end = -1
-                if end != len(text):
-                    record = _decode_line(text, path, line_number)
-                if not isinstance(record, dict):
-                    raise ParseError(f"{path}:{line_number}: record must be an object")
-                txn_id = record.get("id")
-                if not isinstance(txn_id, str) or not txn_id:
-                    raise ParseError(f"{path}:{line_number}: missing or invalid 'id'")
-                if not txn_id.isascii() and not _is_unicode(txn_id):
-                    raise ParseError(f"{path}:{line_number}: 'id' is not valid Unicode text")
-                if txn_id in seen:
+    with _naming(path) as path, open(path, encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            # The decoder's own scanner, without json.loads' wrapping.
+            # A line it does not take whole goes through json.loads,
+            # whose error the message is built from.
+            try:
+                record, end = _scan_json(text, 0)
+            except (ValueError, StopIteration, RecursionError):
+                end = -1
+            if end != len(text):
+                record = _decode_line(text, path, line_number)
+            if not isinstance(record, dict):
+                raise ParseError(f"{path}:{line_number}: record must be an object")
+            txn_id = record.get("id")
+            if not isinstance(txn_id, str) or not txn_id:
+                raise ParseError(f"{path}:{line_number}: missing or invalid 'id'")
+            if not txn_id.isascii() and not _is_unicode(txn_id):
+                raise ParseError(f"{path}:{line_number}: 'id' is not valid Unicode text")
+            if txn_id in seen:
+                raise ParseError(
+                    f"{path}:{line_number}: duplicate transaction id {txn_id!r}"
+                )
+            seen.add(txn_id)
+            triggered = record.get("triggered", [])
+            if not _is_str_list(triggered):
+                raise ParseError(
+                    f"{path}:{line_number}: 'triggered' must be a list of rule ids"
+                )
+            if len(record) == 1 + ("triggered" in record):  # nothing but id, triggered
+                payload = None
+            else:
+                explicit = record.get("payload")
+                if explicit is not None and not isinstance(explicit, dict):
                     raise ParseError(
-                        f"{path}:{line_number}: duplicate transaction id {txn_id!r}"
+                        f"{path}:{line_number}: 'payload' must be an object"
                     )
-                seen.add(txn_id)
-                triggered = record.get("triggered", [])
-                if not _is_str_list(triggered):
-                    raise ParseError(
-                        f"{path}:{line_number}: 'triggered' must be a list of rule ids"
-                    )
-                if len(record) == 1 + ("triggered" in record):  # nothing but id, triggered
-                    payload = None
-                else:
-                    explicit = record.get("payload")
-                    if explicit is not None and not isinstance(explicit, dict):
-                        raise ParseError(
-                            f"{path}:{line_number}: 'payload' must be an object"
-                        )
-                    payload = dict(explicit or {})
-                    payload.update(
-                        (key, value)
-                        for key, value in record.items()
-                        if key not in ("id", "triggered", "payload")
-                    )
-                transactions.append(Transaction(txn_id, triggered, payload or None))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+                payload = dict(explicit or {})
+                payload.update(
+                    (key, value)
+                    for key, value in record.items()
+                    if key not in ("id", "triggered", "payload")
+                )
+            transactions.append(Transaction(txn_id, triggered, payload or None))
     return transactions
 
 
@@ -321,14 +309,7 @@ def _is_unicode(text: str) -> bool:
 
 
 def _read_json_object(path: Path) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
-    except ValueError as exc:  # a name the OS cannot take, such as one with a NUL
-        raise ParseError(f"{str(path)!r}: {exc}") from exc
+    text = path.read_text(encoding="utf-8")
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -338,3 +319,21 @@ def _read_json_object(path: Path) -> dict:
     if not isinstance(document, dict):
         raise ParseError(f"{path}: top level must be an object")
     return document
+
+
+@contextmanager
+def _naming(path: str | Path) -> Iterator[Path]:
+    """A loader's scope for ``path``: names the file once in what the body
+    raises. A ParseError names it already, and so does an OSError, which
+    passes to ``cli.main``."""
+    path = Path(path)
+    try:
+        yield path
+    except ParseError:
+        raise
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc.reason})") from exc
+    except FusionError as exc:  # a constructor's, such as RuleSet's or BayesModel's
+        raise ParseError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # a name the OS cannot take, such as one with a NUL
+        raise ParseError(f"{str(path)!r}: {exc}") from exc

@@ -5,7 +5,7 @@ classify against a threshold, and rank the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import isfinite
+from math import fsum, inf, isfinite
 from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 # posterior and combine_all are no longer called here, but they stay module
@@ -13,7 +13,7 @@ from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence, 
 from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
 from .combination import CombinationMode, combine_all, combine_binary  # noqa: F401
 from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule
-from .evidence import Frame, MassFunction
+from .evidence import NORMALIZATION_TOLERANCE, Frame, MassFunction
 
 FRAUD_FRAME = Frame(("fraud", "genuine"))
 _FRAUD = FRAUD_FRAME.singleton("fraud")
@@ -48,8 +48,12 @@ class RuleSpec:
                 raise InvalidValue(
                     f"rule {self.id!r}: {name} must be finite and >= 0, got {value!r}"
                 )
-        total = self.m_fraud + self.m_genuine + self.m_uncertain
-        if abs(total - 1.0) > 1e-9:
+        # Summed and judged as the rule's mass function sums and judges them.
+        try:
+            total = fsum((self.m_fraud, self.m_genuine, self.m_uncertain))
+        except OverflowError:  # finite masses, infinite sum: not normalized
+            total = inf
+        if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise InvalidValue(f"rule {self.id!r}: masses sum to {total!r}, expected 1")
 
     @classmethod

@@ -1,9 +1,12 @@
 """Fitting from counts and the direct/log-space posterior paths."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefusion import (
     BayesModel,
@@ -99,6 +102,33 @@ class TestFit:
     def test_non_finite_smoothing_rejected(self, smoothing):
         with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             fit(HISTORY, smoothing=smoothing)
+
+    @pytest.mark.parametrize("smoothing", [1e308, sys.float_info.max])
+    def test_smoothing_near_the_float_maximum(self, smoothing):
+        # class_total + 2a overflows here; the likelihoods must not become 0.
+        history = LabeledHistory(total=2, fraud_count=1, evidence={"E": (1, 0)})
+        assert fit(history, smoothing).likelihoods["E"] == Likelihood(0.5, 0.5)
+
+    def test_subnormal_smoothing_of_an_absent_class(self):
+        # a / (0 + 2a) is exactly 1/2, also when a / 2 is not representable.
+        all_fraud = LabeledHistory(total=5, fraud_count=5, evidence={"E1": (3, 0)})
+        model = fit(all_fraud, smoothing=5e-324)
+        assert model.likelihoods["E1"].p_given_genuine == 0.5
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        total=st.integers(1, 10**6),
+        data=st.data(),
+        smoothing=st.floats(0.0, 8.9e307, allow_subnormal=True),
+    )
+    def test_matches_the_plain_quotient_wherever_it_is_finite(self, total, data, smoothing):
+        fraud_count = data.draw(st.integers(0, total))
+        fired = data.draw(st.integers(0, fraud_count))
+        history = LabeledHistory(total, fraud_count, {"E": (fired, 0)})
+        if smoothing == 0.0 and fraud_count in (0, total):
+            return
+        expected = (fired + smoothing) / (fraud_count + 2.0 * smoothing)
+        assert fit(history, smoothing).likelihoods["E"].p_given_fraud == expected
 
 
 class TestPosterior:

@@ -2,6 +2,7 @@
 names each location once."""
 
 import ast
+import builtins
 import json
 from pathlib import Path
 
@@ -44,6 +45,42 @@ def test_every_raise_names_a_fusion_error():
             in_family = isinstance(raised, type) and issubclass(raised, errors.FusionError)
             if not in_family and (function, name) not in OUTSIDE_THE_ROOT:
                 strays.append(f"{path.name}:{line}: {function}() raises {name}")
+    assert strays == []
+
+
+def caught_names(tree):
+    """(enclosing function, caught name, line) for every name an except
+    clause catches."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                for target in types:
+                    name = target.attr if isinstance(target, ast.Attribute) else target.id
+                    found.append((function, name, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_files_are_named_in_one_place():
+    """fileio names a failing file only in its naming scope, and an OSError
+    only in cli.main, which prints the file name it carries."""
+    strays = []
+    for path in SOURCES:
+        for function, name, line in caught_names(ast.parse(path.read_text(encoding="utf-8"))):
+            caught = getattr(errors, name, None) or getattr(builtins, name, object)
+            if issubclass(caught, OSError) and (path.name, function) != ("cli.py", "main"):
+                strays.append(f"{path.name}:{line}: {function}() catches {name}")
+            naming = name == "UnicodeDecodeError" or issubclass(caught, errors.FusionError)
+            if path.name == "fileio.py" and naming and function != "_naming":
+                strays.append(f"{path.name}:{line}: {function}() catches {name}")
     assert strays == []
 
 
@@ -108,5 +145,57 @@ def test_error_names_each_location_once(
     Path("c.json").write_text(json.dumps(config), encoding="utf-8")
     Path("b.jsonl").write_text('{"id": "t1", "triggered": ["R1"]}\n', encoding="utf-8")
     status = main(["score", "c.json", "b.jsonl"])
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["score", "c.json", "nope.jsonl"], "nope.jsonl: No such file or directory"),
+        (["score", "c.json", "dir"], "dir: Is a directory"),
+        (["score", "dir", "b.jsonl"], "dir: Is a directory"),
+        (["score", "bayes.json", "b.jsonl"], "missing.json: No such file or directory"),
+        (["score", "nul.json", "b.jsonl"], "'a\\x00b.json': embedded null byte"),
+        (["fit", "nope.csv", "out.json"], "nope.csv: No such file or directory"),
+        (["fit", "dir", "out.json"], "dir: Is a directory"),
+        (["fit", "h.csv", "nodir/out.json"], "nodir/out.json: No such file or directory"),
+        (["fit", "header.csv", "out.json"], "header.csv: history contains no transactions"),
+        (["fit", "blank.csv", "out.json"], "blank.csv: history contains no transactions"),
+    ],
+    ids=[
+        "missing-batch",
+        "directory-batch",
+        "directory-config",
+        "missing-model",
+        "nul-in-model-name",
+        "missing-history",
+        "directory-history",
+        "fit-output-in-missing-directory",
+        "header-only-history",
+        "blank-history",
+    ],
+)
+def test_file_is_named_once(capsys, tmp_path, monkeypatch, argv, message):
+    """A file that cannot be opened or written, or that holds no
+    transaction, reads ``error: PATH: reason`` and exits 2."""
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "c.json": json.dumps({"rules": [{"id": "R1", "score": 0.5}]}),
+        "bayes.json": json.dumps(
+            {"combiner": "bayes", "model": "missing.json", "rules": [{"id": "R1", "score": 0.5}]}
+        ),
+        "nul.json": json.dumps(
+            {"combiner": "bayes", "model": "a\x00b.json", "rules": [{"id": "R1", "score": 0.5}]}
+        ),
+        "b.jsonl": '{"id": "t1", "triggered": ["R1"]}\n',
+        "h.csv": "txn_id,label,rule_id\nt1,fraud,R1\nt2,genuine,\n",
+        "header.csv": "txn_id,label,rule_id\n",
+        "blank.csv": "txn_id,label,rule_id\n\n , , \n",
+    }
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    Path("dir").mkdir()
+    status = main(argv)
     captured = capsys.readouterr()
     assert (status, captured.out, captured.err) == (2, "", f"error: {message}\n")

@@ -279,8 +279,8 @@ BASIC_RULES = [
             {"threshold": 1.5, "rules": [{"id": "R1", "score": 0.5}]},
             "threshold must be in [0, 1], got 1.5",
         ),
-        # Within 1e-9 of 1 as RuleSpec adds them, outside it under fsum, so
-        # the rule's mass function is what rejects them.
+        # Within 1e-9 of 1 under plain +, outside it under fsum, which
+        # RuleSpec sums with as the rule's mass function does.
         (
             {
                 "rules": [
@@ -292,7 +292,23 @@ BASIC_RULES = [
                     }
                 ]
             },
-            "masses sum to 0.9999999989999999, expected 1 within 1e-09",
+            "rule 'R1': masses sum to 0.9999999989999999, expected 1",
+        ),
+        # The same rule under bayes, which builds no mass function.
+        (
+            {
+                "combiner": "bayes",
+                "model": "m.json",
+                "rules": [
+                    {
+                        "id": "R1",
+                        "m_fraud": 0.8329752851974283,
+                        "m_genuine": 0.0809306695647479,
+                        "m_uncertain": 0.08609404423782382,
+                    }
+                ],
+            },
+            "rule 'R1': masses sum to 0.9999999989999999, expected 1",
         ),
     ],
     ids=[
@@ -305,6 +321,7 @@ BASIC_RULES = [
         "duplicate-id",
         "threshold",
         "fsum-unnormalized",
+        "fsum-unnormalized-bayes",
     ],
 )
 def test_rule_config_message(tmp_path, document, message):
@@ -312,6 +329,14 @@ def test_rule_config_message(tmp_path, document, message):
     with pytest.raises(ParseError) as info:
         load_rule_config(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("load", [load_rule_config, load_model, load_batch, load_history_csv])
+def test_missing_file_raises_the_os_error(tmp_path, load):
+    # A loader names no OSError itself: it carries the file, and cli.main prints it.
+    with pytest.raises(FileNotFoundError) as info:
+        load(tmp_path / "nope")
+    assert str(info.value.filename) == str(tmp_path / "nope")
 
 
 class TestRuleConfig:

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorefusion import (
@@ -88,6 +88,31 @@ class TestRuleSpec:
         masses = {"m_fraud": 0.5, "m_genuine": 0.5, "m_uncertain": 0.0, field: bad}
         with pytest.raises(ValueError, match=f"rule 'R7': {field} must be finite"):
             RuleSpec("R7", **masses)
+
+    @settings(max_examples=300, deadline=None)
+    @example(masses=(0.8329752851974283, 0.0809306695647479, 0.08609404423782382), nudge=0.0)
+    @given(
+        masses=st.tuples(*[st.floats(0.0, 1.0)] * 2).map(lambda fg: (*fg, 1.0 - fg[0] - fg[1])),
+        nudge=st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]),
+    )
+    def test_judges_the_sum_as_its_mass_function_does(self, masses, nudge):
+        triple = (masses[0], masses[1], max(masses[2] + nudge, 0.0))
+        try:
+            RuleSpec("R1", *triple)
+        except FusionError as exc:
+            spec_error = str(exc)
+        else:
+            spec_error = None
+        try:
+            scoring.mass_triple(*triple)
+        except FusionError:
+            assert spec_error is not None and spec_error.startswith("rule 'R1': masses sum to ")
+        else:
+            assert spec_error is None
+
+    def test_overflowing_mass_sum_names_rule(self):
+        with pytest.raises(FusionError, match=r"^rule 'R1': masses sum to inf, expected 1$"):
+            RuleSpec("R1", 1e308, 1e308)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_score_or_uncertainty_names_rule(self, bad):
