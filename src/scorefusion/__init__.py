@@ -6,71 +6,53 @@ conflict measurement) or a naive-Bayes posterior, then ranks transactions by
 suspicion.
 """
 
-from .bayes import (
-    BayesModel,
-    EvidenceCounts,
-    LabeledHistory,
-    Likelihood,
-    Posterior,
-    fit,
-    posterior,
-    posterior_log,
-)
-from .combination import (
-    CombinationMode,
-    CombinationResult,
-    combine_all,
-    combine_pair,
-    conflict,
-)
-from .evidence import BeliefInterval, Frame, HypothesisSet, MassFunction
-from .scoring import (
-    FRAUD_FRAME,
-    BayesCombiner,
-    ClassificationFlags,
-    DempsterCombiner,
-    RuleSet,
-    RuleSpec,
-    ScoreReport,
-    Transaction,
-    classify,
-    masses_for,
-    rank,
-    score,
-    score_batch,
-)
+from importlib import import_module
+
+# Each exported name and the module that defines it. The module loads when
+# the name is first read, so a process that only scores or fits never loads
+# the generic power-set machinery (PEP 562).
+_EXPORTS = {
+    "BayesModel": "bayes",
+    "EvidenceCounts": "bayes",
+    "LabeledHistory": "bayes",
+    "Likelihood": "bayes",
+    "Posterior": "bayes",
+    "fit": "bayes",
+    "posterior": "bayes",
+    "posterior_log": "bayes",
+    "CombinationResult": "combination",
+    "combine_all": "combination",
+    "combine_pair": "combination",
+    "conflict": "combination",
+    "BeliefInterval": "evidence",
+    "Frame": "evidence",
+    "HypothesisSet": "evidence",
+    "MassFunction": "evidence",
+    "CombinationMode": "kernel",
+    "FRAUD_FRAME": "scoring",
+    "BayesCombiner": "scoring",
+    "ClassificationFlags": "scoring",
+    "DempsterCombiner": "scoring",
+    "RuleSet": "scoring",
+    "RuleSpec": "scoring",
+    "ScoreReport": "scoring",
+    "Transaction": "scoring",
+    "classify": "scoring",
+    "masses_for": "scoring",
+    "rank": "scoring",
+    "score": "scoring",
+    "score_batch": "scoring",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BayesCombiner",
-    "BayesModel",
-    "BeliefInterval",
-    "ClassificationFlags",
-    "CombinationMode",
-    "CombinationResult",
-    "DempsterCombiner",
-    "EvidenceCounts",
-    "FRAUD_FRAME",
-    "Frame",
-    "HypothesisSet",
-    "LabeledHistory",
-    "Likelihood",
-    "MassFunction",
-    "Posterior",
-    "RuleSet",
-    "RuleSpec",
-    "ScoreReport",
-    "Transaction",
-    "classify",
-    "combine_all",
-    "combine_pair",
-    "conflict",
-    "fit",
-    "masses_for",
-    "posterior",
-    "posterior_log",
-    "rank",
-    "score",
-    "score_batch",
-]
+__all__ = sorted(_EXPORTS)

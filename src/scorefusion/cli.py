@@ -17,7 +17,6 @@ from dataclasses import replace
 from typing import Sequence
 
 from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
-from .combination import combine_binary
 from .errors import DegenerateClass, FusionError, ParseError, TotalConflict
 from .fileio import (
     load_batch,
@@ -25,6 +24,7 @@ from .fileio import (
     load_rule_config,
     save_model,
 )
+from .kernel import combine_binary
 from .scoring import (
     DEMPSTER_MODES,
     DempsterCombiner,

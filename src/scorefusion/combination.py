@@ -5,33 +5,15 @@ binary-frame pooling mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import fsum, prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import EmptyInput, FrameMismatch, ModeUnsupported, TotalConflict
 from .evidence import Frame, HypothesisSet, MassFunction
 
-# Dividing by 1 - K is numerically meaningless once K is this close to one.
-TOTAL_CONFLICT_LIMIT = 1.0 - 1e-12
-
-
-class CombinationMode(Enum):
-    """How non-conflicting intersection products are routed when fusing.
-
-    STANDARD is Dempster's rule: every product of sets with a non-empty
-    intersection reinforces that intersection, so a singleton meeting the
-    full set reinforces the singleton.
-
-    SIMPLIFIED (binary frames only) reinforces a singleton only where both
-    sources name exactly that singleton; every other non-conflicting product,
-    including singleton x full-set cross terms, is pooled back into the full
-    set. It keeps more mass on the uncertainty set, giving wider intervals,
-    and it is not associative: multi-source folds are order-dependent.
-    """
-
-    STANDARD = "standard"
-    SIMPLIFIED = "simplified"
+# The binary kernel lives in its own module, so that scoring can load it
+# alone; these names stay importable from here.
+from .kernel import TOTAL_CONFLICT_LIMIT, CombinationMode, combine_binary  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -129,50 +111,6 @@ def combine_all(
         steps.append(step.conflict)
     total = 1.0 - prod(1.0 - k for k in steps)
     return CombinationResult(combined, total, tuple(steps))
-
-
-def combine_binary(
-    sources: Sequence[tuple[float, float, float]],
-    mode: CombinationMode = CombinationMode.STANDARD,
-    steps: list[tuple[float, float, float, float]] | None = None,
-) -> tuple[float, float, float]:
-    """Closed-form :func:`combine_all` on a binary frame.
-
-    Each source is a (first, second, both) mass triple, such as the
-    (fraud, genuine, either) masses of a rule. Standard mode folds the
-    triples in sorted order, the canonical order :func:`combine_all` folds
-    their mass functions in; simplified mode folds them in input order.
-    Each step is divided by its surviving sum, so the running triple
-    stays a unit of mass however long the fold. Returns (bel, pl, conflict)
-    of the first hypothesis, with 0 <= bel <= pl <= 1 and conflict
-    1 - prod(1 - K_i). Agrees with the generic fold to rounding, not to the
-    last bit.
-
-    When ``steps`` is given, each fold step appends its (K, first, second,
-    both) to it: the step's conflict and the normalised triple after it.
-    Nothing returned depends on it.
-    """
-    if not sources:
-        raise EmptyInput("need at least one mass triple to combine")
-    pooled = mode is CombinationMode.SIMPLIFIED
-    if not pooled:
-        sources = sorted(sources)
-    f, g, u = sources[0]
-    kept = 1.0
-    for f2, g2, u2 in sources[1:]:
-        k = f * g2 + g * f2
-        if k >= TOTAL_CONFLICT_LIMIT:
-            raise TotalConflict(f"sources are in total conflict (K = {k!r})")
-        if pooled:
-            f, g, u = f * f2, g * g2, (f + g) * u2 + u * (f2 + g2 + u2)
-        else:
-            f, g, u = f * (f2 + u2) + u * f2, g * (g2 + u2) + u * g2, u * u2
-        total = f + g + u
-        f, g, u = f / total, g / total, u / total
-        kept *= 1.0 - k
-        if steps is not None:
-            steps.append((k, f, g, u))
-    return f, min(f + u, 1.0), 1.0 - kept
 
 
 def _fold_key(m: MassFunction) -> tuple[tuple[int, float], ...]:

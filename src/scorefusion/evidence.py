@@ -20,10 +20,7 @@ from .errors import (
     NonFiniteMass,
     NotNormalized,
 )
-
-# Masses may arrive as rounded decimals; anything within this tolerance of 1
-# is accepted and rescaled so the stored total is exactly 1.0.
-NORMALIZATION_TOLERANCE = 1e-9
+from .kernel import NORMALIZATION_TOLERANCE, rescale_exact
 
 # Subset queries enumerate focal elements, but tooling (and tests) may walk
 # the full power set, so keep 2^N bounded.
@@ -196,7 +193,7 @@ class MassFunction:
             if v > 0.0
         }
         if total != 1.0:
-            focal = _rescale_exact(focal, total)
+            focal = dict(zip(focal, rescale_exact(list(focal.values()), total)))
         self._frame = frame
         self._masses = focal
 
@@ -255,19 +252,3 @@ class MassFunction:
         body = ", ".join(f"{h!r}: {v!r}" for h, v in self._masses.items())
         return f"MassFunction({{{body}}})"
 
-
-def _rescale_exact(
-    focal: dict[HypothesisSet, float], total: float
-) -> dict[HypothesisSet, float]:
-    """Divide through by the total, then pin the largest entry so the values
-    sum to exactly 1.0 under fsum.
-
-    The pinned value is the correctly rounded 1 - sum(others), computed in a
-    single fsum; its error is at most half an ulp of the largest mass, which
-    keeps the full fsum within half an ulp of 1.0.
-    """
-    scaled = {h: v / total for h, v in focal.items()}
-    largest = max(scaled, key=lambda h: (scaled[h], h.mask))
-    others = [v for h, v in scaled.items() if h != largest]
-    scaled[largest] = -fsum([-1.0] + others)
-    return scaled

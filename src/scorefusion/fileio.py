@@ -34,8 +34,15 @@ HISTORY_HEADER = ("txn_id", "label", "rule_id")
 
 MODEL_FORMAT = "scorefusion-model/1"
 
+
+def _reject_constant(token: str) -> float:
+    """A batch's ``parse_constant``: NaN and the infinities are not JSON,
+    and a payload holding one could not be written back as JSON."""
+    raise ParseError(f"{token} is not a JSON number")
+
+
 # What json.loads runs once it has checked its input: one value from an index.
-_scan_json = json.JSONDecoder().scan_once
+_scan_json = json.JSONDecoder(parse_constant=_reject_constant).scan_once
 
 
 def load_history_csv(path: str | Path) -> LabeledHistory:
@@ -236,7 +243,7 @@ def load_batch(path: str | Path) -> list[Transaction]:
 
 def _decode_line(text: str, path: Path, line_number: int) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{line_number}: invalid record: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an int too long, too deep

@@ -4,21 +4,45 @@ classify against a threshold, and rank the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cache
 from math import fsum, inf, isfinite
+from typing import TYPE_CHECKING
 from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
-# posterior and combine_all are no longer called here, but they stay module
-# attributes beside masses_for: bench/tracing.py wraps all three by name.
+# posterior is no longer called here, but it stays a module attribute beside
+# masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
+# three by name.
 from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
-from .combination import CombinationMode, combine_all, combine_binary  # noqa: F401
 from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule
-from .evidence import NORMALIZATION_TOLERANCE, Frame, MassFunction
+from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary, rescale_exact
 
-FRAUD_FRAME = Frame(("fraud", "genuine"))
-_FRAUD = FRAUD_FRAME.singleton("fraud")
-_GENUINE = FRAUD_FRAME.singleton("genuine")
-_EITHER = FRAUD_FRAME.omega
+if TYPE_CHECKING:
+    from .evidence import Frame, HypothesisSet, MassFunction
+
+
+def __getattr__(name: str) -> object:
+    """FRAUD_FRAME and combine_all, on first use. Scoring folds compiled
+    triples, so a process that only scores or fits never imports
+    ``evidence`` or ``combination``."""
+    if name == "FRAUD_FRAME":
+        value: object = _frame_sets()[0]
+    elif name == "combine_all":
+        from .combination import combine_all as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+@cache
+def _frame_sets() -> tuple[Frame, HypothesisSet, HypothesisSet, HypothesisSet]:
+    """FRAUD_FRAME and its fraud, genuine and either sets, built on first use."""
+    from .evidence import Frame
+
+    frame = Frame(("fraud", "genuine"))
+    return frame, frame.singleton("fraud"), frame.singleton("genuine"), frame.omega
+
 
 # A Dempster combiner's name in a rule config and a report header, per mode.
 DEMPSTER_MODES = {"ds-standard": CombinationMode.STANDARD, "ds-paper": CombinationMode.SIMPLIFIED}
@@ -74,10 +98,7 @@ class RuleSpec:
         return cls(rule_id, score * certain, (1.0 - score) * certain, uncertainty, description)
 
     def to_mass(self) -> MassFunction:
-        return MassFunction(
-            FRAUD_FRAME,
-            [(_FRAUD, self.m_fraud), (_GENUINE, self.m_genuine), (_EITHER, self.m_uncertain)],
-        )
+        return _mass_function(self.m_fraud, self.m_genuine, self.m_uncertain)
 
 
 @dataclass(frozen=True)
@@ -108,9 +129,10 @@ class RuleSet:
 
     Only the table the combiner folds is compiled; the other is empty. Under
     a Dempster combiner, ``triples`` holds each rule's :func:`mass_triple`,
-    for the closed-form fold. Under a Bayes combiner, ``pairs`` holds the
-    model's (p_given_fraud, p_given_genuine) for each rule the model knows,
-    for the rescaled posterior product.
+    bit for bit, for the closed-form fold. Under a Bayes combiner, ``pairs``
+    holds the model's (p_given_fraud, p_given_genuine) for each rule the
+    model knows, for the rescaled posterior product. A threshold of -0.0 is
+    stored as 0.0, so that no report prints its sign.
     """
 
     rules: Mapping[str, RuleSpec]
@@ -130,16 +152,14 @@ class RuleSet:
                 raise InvalidValue(f"rule key {rule_id!r} does not match spec id {spec.id!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise InvalidValue(f"threshold must be in [0, 1], got {self.threshold!r}")
+        object.__setattr__(self, "threshold", self.threshold + 0.0)
         object.__setattr__(self, "rules", rules)
         triples, pairs = {}, {}
         if isinstance(self.combiner, BayesCombiner):
             likelihoods = self.combiner.model.likelihoods
             pairs = {rule_id: likelihoods[rule_id] for rule_id in rules if rule_id in likelihoods}
         else:
-            triples = {
-                rule_id: mass_triple(spec.m_fraud, spec.m_genuine, spec.m_uncertain)
-                for rule_id, spec in rules.items()
-            }
+            triples = {rule_id: _rule_triple(spec) for rule_id, spec in rules.items()}
         object.__setattr__(self, "triples", triples)
         object.__setattr__(self, "pairs", pairs)
 
@@ -158,27 +178,35 @@ class RuleSet:
         return cls(by_id, combiner, threshold)
 
 
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """A transaction to score: its id, which rules fired, and opaque payload.
-
-    A rule id triggered more than once counts once: ``triggered`` keeps the
-    first occurrence of each id, in trigger order.
-    """
-
+class _TransactionFields(NamedTuple):
     id: str
     triggered: tuple[str, ...] = ()
     payload: Mapping | None = None
 
-    def __post_init__(self) -> None:
-        triggered = tuple(self.triggered)
+
+class Transaction(_TransactionFields):
+    """A transaction to score: its id, which rules fired, and opaque payload.
+
+    A rule id triggered more than once counts once: ``triggered`` keeps the
+    first occurrence of each id, in trigger order, also under ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, triggered: Iterable[str] = (), payload: Mapping | None = None
+    ) -> Transaction:
+        triggered = tuple(triggered)
         if len(set(triggered)) < len(triggered):
             triggered = tuple(dict.fromkeys(triggered))
-        object.__setattr__(self, "triggered", triggered)
+        return tuple.__new__(cls, (id, triggered, payload))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Transaction:  # what _replace builds with
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Fused verdict for one transaction.
 
     point_estimate equals bel_fraud for Dempster fusion and the posterior
@@ -254,7 +282,7 @@ def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
     ordered = sorted(
         reports, key=lambda r: (-r.bel_fraud, -r.pl_fraud, r.transaction_id)
     )
-    return [replace(r, rank=position) for position, r in enumerate(ordered, start=1)]
+    return [r._replace(rank=position) for position, r in enumerate(ordered, start=1)]
 
 
 SideRow = tuple[Transaction, str, Union[str, None]]
@@ -350,10 +378,33 @@ def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float
 
 def mass_triple(fraud: float, genuine: float, either: float) -> tuple[float, float, float]:
     """The masses as FRAUD_FRAME's mass function stores them: validated, and
-    rescaled to sum to exactly 1. How a rule is compiled, and how
-    ``combine`` reads a source; raises the mass function's FusionError."""
-    m = MassFunction(FRAUD_FRAME, [(_FRAUD, fraud), (_GENUINE, genuine), (_EITHER, either)])
-    return m.mass(_FRAUD), m.mass(_GENUINE), m.mass(_EITHER)
+    rescaled to sum to exactly 1. How ``combine`` reads a source, and the
+    reference a rule's compiled triple is pinned to; raises the mass
+    function's FusionError."""
+    _, fraud_set, genuine_set, either_set = _frame_sets()
+    m = _mass_function(fraud, genuine, either)
+    return m.mass(fraud_set), m.mass(genuine_set), m.mass(either_set)
+
+
+def _rule_triple(spec: RuleSpec) -> tuple[float, float, float]:
+    """:func:`mass_triple` of a rule's masses, which RuleSpec has checked,
+    without building the mass function: each mass a float, a zero stored as
+    0.0, and a total other than exactly 1 rescaled as the mass function
+    rescales it."""
+    masses = [
+        float(m) if m > 0.0 else 0.0 for m in (spec.m_fraud, spec.m_genuine, spec.m_uncertain)
+    ]
+    total = fsum(masses)
+    if total != 1.0:
+        masses = rescale_exact(masses, total)
+    return masses[0], masses[1], masses[2]
+
+
+def _mass_function(fraud: float, genuine: float, either: float) -> MassFunction:
+    from .evidence import MassFunction
+
+    frame, fraud_set, genuine_set, either_set = _frame_sets()
+    return MassFunction(frame, [(fraud_set, fraud), (genuine_set, genuine), (either_set, either)])
 
 
 _T = TypeVar("_T")

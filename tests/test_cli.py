@@ -311,6 +311,29 @@ class TestScore:
         assert all(record["suspicious"] for record in records)
         assert all(record["confirmed"] for record in records)
 
+    @pytest.mark.parametrize(
+        ("output", "header"),
+        [
+            ("table", "combiner=ds-paper threshold=0.0000"),
+            ("csv", "# combiner=ds-paper threshold=0.0"),
+            ("jsonl", '{"combiner": "ds-paper", "threshold": 0.0}'),
+        ],
+    )
+    def test_negative_zero_threshold_prints_as_zero(
+        self, capsys, tmp_path, paper_mode_setup, output, header
+    ):
+        config, batch = paper_mode_setup
+        document = json.loads(Path(config).read_text(encoding="utf-8"))
+        document["threshold"] = -0.0
+        negative = write(tmp_path / "negative-zero.json", json.dumps(document))
+        for argv in (
+            ["score", config, batch, "--output", output, "--threshold", "-0"],
+            ["score", negative, batch, "--output", output],
+        ):
+            status, out, _ = run_cli(capsys, *argv)
+            assert status == 0
+            assert out.splitlines()[0] == header
+
     def test_bayes_config_scoring(self, capsys, tmp_path, history_csv):
         model_path = tmp_path / "model.json"
         run_cli(capsys, "fit", str(history_csv), str(model_path))
@@ -851,6 +874,17 @@ class TestInputBoundary:
         config, batch, _ = bayes_setup
         write(Path(batch), '{"id": "t1", "triggered": ["E1"]}\n{"id": "\\ud800"}\n')
         self.check(capsys, ["score", config, batch, "--output", output], f"{batch}:2:", "'id'")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_names_line(self, capsys, bayes_setup, token):
+        # Copied into a jsonl payload, the token would make the line not JSON.
+        config, batch, _ = bayes_setup
+        write(Path(batch), '{"id": "t1", "triggered": ["E1"], "payload": {"x": ' + token + "}}\n")
+        self.check(
+            capsys,
+            ["score", config, batch, "--output", "jsonl"],
+            f"{batch}:1: invalid record: {token} is not a JSON number",
+        )
 
     @pytest.mark.parametrize("target", ["config", "batch", "model"])
     def test_deep_nesting_names_file(self, capsys, bayes_setup, target):

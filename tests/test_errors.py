@@ -14,8 +14,13 @@ from scorefusion.cli import main
 SOURCES = sorted(Path(errors.__file__).parent.glob("*.py"))
 
 # The raises that leave the family, by enclosing function: argparse turns the
-# first into a usage error, and the second is how the console script exits.
-OUTSIDE_THE_ROOT = {("_smoothing_arg", "ArgumentTypeError"), ("run", "SystemExit")}
+# first into a usage error, the second is how the console script exits, and
+# a module __getattr__ must raise the third for a name it lacks (PEP 562).
+OUTSIDE_THE_ROOT = {
+    ("_smoothing_arg", "ArgumentTypeError"),
+    ("run", "SystemExit"),
+    ("__getattr__", "AttributeError"),
+}
 
 
 def raised_names(tree):

@@ -482,6 +482,12 @@ class TestBatchFile:
             ('﻿{"id": "t2"}', "invalid record: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
             ('{"triggered": []}', "missing or invalid 'id'"),
             ('{"id": "t2", "triggered": ["R1", 2]}', "'triggered' must be a list of rule ids"),
+            ('{"id": "t2", "amount": NaN}', "invalid record: NaN is not a JSON number"),
+            (
+                '{"id": "t2", "triggered": [], "payload": {"x": [Infinity]}}',
+                "invalid record: Infinity is not a JSON number",
+            ),
+            ('{"id": "t2", "v": -Infinity} x', "invalid record: -Infinity is not a JSON number"),
         ],
         ids=[
             "invalid",
@@ -493,6 +499,9 @@ class TestBatchFile:
             "bom",
             "id-missing",
             "triggered-not-ids",
+            "nan",
+            "infinity-in-payload",
+            "negative-infinity-before-extra-data",
         ],
     )
     def test_bad_line_message(self, tmp_path, line, message):
@@ -561,11 +570,13 @@ class TestBatchFile:
         assert load_batch(path) == expected
 
 
+# Values JSON can write; json.dumps writes an infinity as the non-JSON token
+# Infinity, which a batch rejects (see test_bad_line_message).
 _json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
-    | st.floats(allow_nan=False)
+    | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=4),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=4), children, max_size=3),

@@ -1,11 +1,13 @@
 """Rule expansion, per-transaction fusion, classification, and ranking."""
 
+import math
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scorefusion import (
@@ -421,6 +423,21 @@ class TestSlottedRecords:
             txn.id = "u"
 
 
+class TestTupleRecords:
+    def test_replace_keeps_the_first_of_each_trigger(self):
+        txn = Transaction("t", ["a"])._replace(triggered=["b", "a", "b"])
+        assert type(txn) is Transaction
+        assert txn.triggered == ("b", "a")
+
+    def test_records_survive_a_pickle_round_trip(self):
+        txn = Transaction("t", ["a", "b"], {"amount": 3})
+        ranked = rank([report("t", 0.2, 0.4)._replace(payload={"amount": 3})])[0]
+        for record in (txn, ranked):
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is type(record)
+            assert copy == record
+
+
 class TestClassify:
     def test_wide_interval_is_only_suspicious(self):
         flags = classify(0.25, 0.98, 0.5)
@@ -493,14 +510,14 @@ class TestRank:
 
     def test_matches_replace_on_shuffled_batch(self):
         reports = [
-            replace(report(f"t{i:02d}", bel, pl), payload={"i": i})
+            report(f"t{i:02d}", bel, pl)._replace(payload={"i": i})
             for i, (bel, pl) in enumerate(
                 [(0.1, 0.9), (0.4, 0.6), (0.4, 0.6), (0.4, 0.8), (0.9, 0.9), (0.0, 0.0)] * 4
             )
         ]
         random.Random(3).shuffle(reports)
         ordered = sorted(reports, key=lambda r: (-r.bel_fraud, -r.pl_fraud, r.transaction_id))
-        expected = [replace(r, rank=i) for i, r in enumerate(ordered, start=1)]
+        expected = [r._replace(rank=i) for i, r in enumerate(ordered, start=1)]
         assert rank(reports) == expected
 
     def test_input_order_invariance(self):
@@ -510,7 +527,44 @@ class TestRank:
         assert first == second
 
 
+# A mass as a rule may carry it: an int, a negative zero or a plain float.
+_MASS = st.one_of(st.sampled_from([0, 1, -0.0, 0.5]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def rule_masses(draw):
+    """Three masses RuleSpec accepts, in any order. Any may be an int or
+    -0.0, two may tie for the largest, and the sum may miss 1 by up to
+    NORMALIZATION_TOLERANCE."""
+    first = draw(_MASS)
+    if first <= 0.5 and draw(st.booleans()):
+        second = first
+    else:
+        second = draw(st.one_of(st.sampled_from([0, -0.0]), st.floats(0.0, 1.0 - first)))
+    nudge = draw(st.sampled_from([0.0, 1e-10, -1e-10, 7e-10, -9e-10]))
+    third = max(1.0 - first - second + nudge, 0.0)
+    masses = tuple(draw(st.permutations([first, second, third])))
+    assume(abs(math.fsum(masses) - 1.0) <= scoring.NORMALIZATION_TOLERANCE)
+    return masses
+
+
 class TestRuleSet:
+    @settings(max_examples=300, deadline=None)
+    @example(masses=(0, 1, 0))
+    @example(masses=(-0.0, 1.0, 0.0))
+    @example(masses=(0.4, 0.4, 0.20000000069999996))
+    @example(masses=(0.4, 0.20000000069999996, 0.4))
+    @example(masses=(0.20000000069999996, 0.4, 0.4))
+    @given(masses=rule_masses())
+    def test_compiled_triple_is_mass_triple_bit_for_bit(self, masses):
+        expected = scoring.mass_triple(*masses)
+        compiled = ds_ruleset([RuleSpec("R1", *masses)]).triples["R1"]
+        assert len(compiled) == 3
+        for got, want in zip(compiled, expected):
+            assert type(got) is float and type(want) is float
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
     def test_duplicate_rule_ids_rejected(self):
         with pytest.raises(ValueError):
             RuleSet.from_rules(
