@@ -9,7 +9,7 @@ product over precompiled likelihood pairs keeps them from underflowing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -47,72 +47,70 @@ class Likelihood(NamedTuple):
     p_given_genuine: float
 
 
-@dataclass(frozen=True)
-class LabeledHistory:
+class LabeledHistory(namedtuple("LabeledHistory", "total fraud_count evidence")):
     """Aggregated trigger counts from a labeled transaction history."""
 
-    total: int
-    fraud_count: int
-    evidence: Mapping[str, EvidenceCounts]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.total < 1:
+    def __new__(
+        cls, total: int, fraud_count: int, evidence: Mapping[str, EvidenceCounts]
+    ) -> LabeledHistory:
+        if total < 1:
             raise EmptyHistory("history contains no transactions")
-        if not 0 <= self.fraud_count <= self.total:
-            raise InvalidValue(
-                f"fraud_count {self.fraud_count} out of range for total {self.total}"
-            )
-        evidence = {eid: EvidenceCounts(*counts) for eid, counts in dict(self.evidence).items()}
+        if not 0 <= fraud_count <= total:
+            raise InvalidValue(f"fraud_count {fraud_count} out of range for total {total}")
+        genuine_count = total - fraud_count
+        evidence = {eid: EvidenceCounts(*counts) for eid, counts in dict(evidence).items()}
         for eid, counts in evidence.items():
             if counts.fraud < 0 or counts.genuine < 0:
                 raise InvalidValue(f"evidence {eid!r} has negative counts")
-            if counts.fraud > self.fraud_count:
+            if counts.fraud > fraud_count:
                 raise InvalidValue(
-                    f"evidence {eid!r}: {counts.fraud} fraud triggers exceed "
-                    f"{self.fraud_count} frauds"
+                    f"evidence {eid!r}: {counts.fraud} fraud triggers exceed {fraud_count} frauds"
                 )
-            if counts.genuine > self.genuine_count:
+            if counts.genuine > genuine_count:
                 raise InvalidValue(
                     f"evidence {eid!r}: {counts.genuine} genuine triggers exceed "
-                    f"{self.genuine_count} genuines"
+                    f"{genuine_count} genuines"
                 )
-        object.__setattr__(self, "evidence", evidence)
+        return tuple.__new__(cls, (total, fraud_count, evidence))
+
+    # What _replace builds with, so that it checks what the constructor checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def genuine_count(self) -> int:
         return self.total - self.fraud_count
 
 
-@dataclass(frozen=True)
-class BayesModel:
+class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods smoothing")):
     """Fitted priors and per-evidence likelihoods. Immutable once fitted."""
 
-    prior_fraud: float
-    prior_genuine: float
-    likelihoods: Mapping[str, Likelihood]
-    smoothing: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_smoothing(self.smoothing)
-        for name in ("prior_fraud", "prior_genuine"):
-            prior = getattr(self, name)
+    def __new__(
+        cls,
+        prior_fraud: float,
+        prior_genuine: float,
+        likelihoods: Mapping[str, Likelihood],
+        smoothing: float = 0.0,
+    ) -> BayesModel:
+        check_smoothing(smoothing)
+        for name, prior in (("prior_fraud", prior_fraud), ("prior_genuine", prior_genuine)):
             if not 0.0 <= prior <= 1.0:
                 raise InvalidValue(f"{name} {prior!r} outside [0, 1]")
-        if abs(self.prior_fraud + self.prior_genuine - 1.0) > 1e-12:
-            raise InvalidValue(
-                f"priors {self.prior_fraud!r} + {self.prior_genuine!r} do not sum to 1"
-            )
-        likelihoods = {
-            eid: Likelihood(*pair) for eid, pair in dict(self.likelihoods).items()
-        }
+        if abs(prior_fraud + prior_genuine - 1.0) > 1e-12:
+            raise InvalidValue(f"priors {prior_fraud!r} + {prior_genuine!r} do not sum to 1")
+        likelihoods = {eid: Likelihood(*pair) for eid, pair in dict(likelihoods).items()}
         for eid, pair in likelihoods.items():
             if not (0.0 <= pair.p_given_fraud <= 1.0 and 0.0 <= pair.p_given_genuine <= 1.0):
                 raise InvalidValue(f"evidence {eid!r} likelihoods {pair} outside [0, 1]")
-        object.__setattr__(self, "likelihoods", likelihoods)
+        return tuple.__new__(cls, (prior_fraud, prior_genuine, likelihoods, smoothing))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class Posterior:
+class Posterior(NamedTuple):
     """Fused class probabilities plus the evidence marginal (the normalizer)."""
 
     p_fraud: float

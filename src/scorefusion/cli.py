@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
@@ -225,7 +224,7 @@ def _apply_overrides(ruleset: RuleSet, args: argparse.Namespace) -> RuleSet:
     threshold = ruleset.threshold if args.threshold is None else args.threshold
     if combiner == ruleset.combiner and threshold == ruleset.threshold:
         return ruleset
-    return replace(ruleset, combiner=combiner, threshold=threshold)
+    return RuleSet(ruleset.rules, combiner, threshold)
 
 
 def _emit_table(

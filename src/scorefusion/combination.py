@@ -4,9 +4,8 @@ binary-frame pooling mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyInput, FrameMismatch, ModeUnsupported, TotalConflict
 from .evidence import Frame, HypothesisSet, MassFunction
@@ -16,8 +15,7 @@ from .evidence import Frame, HypothesisSet, MassFunction
 from .kernel import TOTAL_CONFLICT_LIMIT, CombinationMode, combine_binary  # noqa: F401
 
 
-@dataclass(frozen=True)
-class CombinationResult:
+class CombinationResult(NamedTuple):
     """A fused mass plus the conflict that was discarded while fusing.
 
     ``conflict`` is the total discarded mass across the whole fold,

@@ -7,7 +7,7 @@ probability bounds of any hypothesis set from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import fsum, inf, isfinite
 from typing import Iterable, Mapping
 
@@ -27,15 +27,13 @@ from .kernel import NORMALIZATION_TOLERANCE, rescale_exact
 MAX_FRAME_SIZE = 20
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(namedtuple("Frame", "labels")):
     """Ordered universe of mutually exclusive hypotheses."""
 
-    labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __new__(cls, labels: Iterable[str]) -> Frame:
+        labels = tuple(labels)
         if not labels:
             raise InvalidValue("a frame needs at least one hypothesis")
         if len(labels) > MAX_FRAME_SIZE:
@@ -46,6 +44,10 @@ class Frame:
             raise InvalidValue("hypothesis labels must be non-empty strings")
         if len(set(labels)) != len(labels):
             raise InvalidValue(f"hypothesis labels must be unique, got {labels}")
+        return tuple.__new__(cls, (labels,))
+
+    # What _replace builds with, so that it checks what the constructor checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def size(self) -> int:
@@ -77,21 +79,21 @@ class Frame:
         return HypothesisSet(self, (1 << self.size) - 1)
 
 
-@dataclass(frozen=True)
-class HypothesisSet:
+class HypothesisSet(namedtuple("HypothesisSet", "frame mask")):
     """A member of the frame's power set, stored as an inclusion bitmask.
 
-    Bit i is set when the frame's i-th hypothesis is a member.
+    Bit i is set when the frame's i-th hypothesis is a member. ``len`` is
+    the number of members.
     """
 
-    frame: Frame
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask < (1 << self.frame.size):
-            raise InvalidValue(
-                f"mask {self.mask:#x} does not fit a frame of {self.frame.size}"
-            )
+    def __new__(cls, frame: Frame, mask: int) -> HypothesisSet:
+        if not 0 <= mask < (1 << frame.size):
+            raise InvalidValue(f"mask {mask:#x} does not fit a frame of {frame.size}")
+        return tuple.__new__(cls, (frame, mask))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -117,20 +119,21 @@ class HypothesisSet:
         return f"HypothesisSet({{{', '.join(self.labels)}}})"
 
 
-@dataclass(frozen=True)
-class BeliefInterval:
+class BeliefInterval(namedtuple("BeliefInterval", "bel pl")):
     """Lower (bel) and upper (pl) bound on the probability of a hypothesis set.
 
     The width pl - bel is the ignorance about the set: mass that neither
     supports nor contradicts it.
     """
 
-    bel: float
-    pl: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.bel <= self.pl <= 1.0:
-            raise InvalidValue(f"invalid belief interval [{self.bel!r}, {self.pl!r}]")
+    def __new__(cls, bel: float, pl: float) -> BeliefInterval:
+        if not 0.0 <= bel <= pl <= 1.0:
+            raise InvalidValue(f"invalid belief interval [{bel!r}, {pl!r}]")
+        return tuple.__new__(cls, (bel, pl))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def width(self) -> float:

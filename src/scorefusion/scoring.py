@@ -4,11 +4,11 @@ classify against a threshold, and rank the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from math import fsum, inf, isfinite
 from typing import TYPE_CHECKING
-from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 # posterior is no longer called here, but it stays a module attribute beside
 # masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
@@ -48,8 +48,7 @@ def _frame_sets() -> tuple[Frame, HypothesisSet, HypothesisSet, HypothesisSet]:
 DEMPSTER_MODES = {"ds-standard": CombinationMode.STANDARD, "ds-paper": CombinationMode.SIMPLIFIED}
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain description")):
     """One evidence source: fixed masses on fraud, genuine, and the full set.
 
     The masses can be given directly, or derived from an expert score p and
@@ -57,28 +56,33 @@ class RuleSpec:
     to genuine, and u stays on the full set.
     """
 
-    id: str
-    m_fraud: float
-    m_genuine: float
-    m_uncertain: float = 0.0
-    description: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(
+        cls,
+        id: str,
+        m_fraud: float,
+        m_genuine: float,
+        m_uncertain: float = 0.0,
+        description: str = "",
+    ) -> RuleSpec:
+        if not id:
             raise InvalidValue("rule id must be non-empty")
-        for name in ("m_fraud", "m_genuine", "m_uncertain"):
-            value = getattr(self, name)
+        masses = (m_fraud, m_genuine, m_uncertain)
+        for name, value in zip(("m_fraud", "m_genuine", "m_uncertain"), masses):
             if not (isfinite(value) and value >= 0.0):
-                raise InvalidValue(
-                    f"rule {self.id!r}: {name} must be finite and >= 0, got {value!r}"
-                )
+                raise InvalidValue(f"rule {id!r}: {name} must be finite and >= 0, got {value!r}")
         # Summed and judged as the rule's mass function sums and judges them.
         try:
-            total = fsum((self.m_fraud, self.m_genuine, self.m_uncertain))
+            total = fsum(masses)
         except OverflowError:  # finite masses, infinite sum: not normalized
             total = inf
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
-            raise InvalidValue(f"rule {self.id!r}: masses sum to {total!r}, expected 1")
+            raise InvalidValue(f"rule {id!r}: masses sum to {total!r}, expected 1")
+        return tuple.__new__(cls, (id, *masses, description))
+
+    # What _replace builds with, so that it checks what the constructor checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_score(
@@ -87,7 +91,7 @@ class RuleSpec:
         score: float,
         uncertainty: float = 0.0,
         description: str = "",
-    ) -> "RuleSpec":
+    ) -> RuleSpec:
         if not 0.0 <= score <= 1.0:  # also rejects NaN
             raise InvalidValue(f"rule {rule_id!r}: score must be in [0, 1], got {score!r}")
         if not 0.0 <= uncertainty <= 1.0:
@@ -101,8 +105,7 @@ class RuleSpec:
         return _mass_function(self.m_fraud, self.m_genuine, self.m_uncertain)
 
 
-@dataclass(frozen=True)
-class DempsterCombiner:
+class DempsterCombiner(NamedTuple):
     """Fuse triggered rules with Dempster's rule in the given mode."""
 
     mode: CombinationMode = CombinationMode.STANDARD
@@ -112,56 +115,54 @@ class DempsterCombiner:
         return next(name for name, mode in DEMPSTER_MODES.items() if mode is self.mode)
 
 
-@dataclass(frozen=True)
-class BayesCombiner:
+class BayesCombiner(NamedTuple):
     """Fuse triggered rules through the naive-Bayes posterior of a fitted model."""
 
     model: BayesModel
-    name: ClassVar[str] = "bayes"
+    name = "bayes"
 
 
 Combiner = Union[DempsterCombiner, BayesCombiner]
 
 
-@dataclass(frozen=True)
-class RuleSet:
+class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
     """Immutable scoring configuration: rules, combiner choice, threshold.
 
     Only the table the combiner folds is compiled; the other is empty. Under
     a Dempster combiner, ``triples`` holds each rule's :func:`mass_triple`,
     bit for bit, for the closed-form fold. Under a Bayes combiner, ``pairs``
     holds the model's (p_given_fraud, p_given_genuine) for each rule the
-    model knows, for the rescaled posterior product. A threshold of -0.0 is
-    stored as 0.0, so that no report prints its sign.
+    model knows, for the rescaled posterior product. Both are compiled from
+    the other fields, also under ``_replace``, and never passed in. A
+    threshold of -0.0 is stored as 0.0, so that no report prints its sign.
     """
 
-    rules: Mapping[str, RuleSpec]
-    combiner: Combiner
-    threshold: float = 0.5
-    triples: Mapping[str, tuple[float, float, float]] = field(
-        init=False, repr=False, compare=False
-    )
-    pairs: Mapping[str, tuple[float, float]] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rules = dict(self.rules)
+    def __new__(
+        cls, rules: Mapping[str, RuleSpec], combiner: Combiner, threshold: float = 0.5
+    ) -> RuleSet:
+        rules = dict(rules)
         for rule_id, spec in rules.items():
             if rule_id != spec.id:
                 raise InvalidValue(f"rule key {rule_id!r} does not match spec id {spec.id!r}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise InvalidValue(f"threshold must be in [0, 1], got {self.threshold!r}")
-        object.__setattr__(self, "threshold", self.threshold + 0.0)
-        object.__setattr__(self, "rules", rules)
+        if not 0.0 <= threshold <= 1.0:
+            raise InvalidValue(f"threshold must be in [0, 1], got {threshold!r}")
         triples, pairs = {}, {}
-        if isinstance(self.combiner, BayesCombiner):
-            likelihoods = self.combiner.model.likelihoods
+        if isinstance(combiner, BayesCombiner):
+            likelihoods = combiner.model.likelihoods
             pairs = {rule_id: likelihoods[rule_id] for rule_id in rules if rule_id in likelihoods}
         else:
             triples = {rule_id: _rule_triple(spec) for rule_id, spec in rules.items()}
-        object.__setattr__(self, "triples", triples)
-        object.__setattr__(self, "pairs", pairs)
+        return tuple.__new__(cls, (rules, combiner, threshold + 0.0, triples, pairs))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> RuleSet:  # _replace: recompiles the tables
+        rules, combiner, threshold, _, _ = fields
+        return cls(rules, combiner, threshold)
+
+    def __getnewargs__(self) -> tuple:  # what copy and pickle construct with
+        return self[:3]
 
     @classmethod
     def from_rules(
@@ -169,7 +170,7 @@ class RuleSet:
         rules: Sequence[RuleSpec],
         combiner: Combiner,
         threshold: float = 0.5,
-    ) -> "RuleSet":
+    ) -> RuleSet:
         by_id: dict[str, RuleSpec] = {}
         for spec in rules:
             if spec.id in by_id:
@@ -178,13 +179,7 @@ class RuleSet:
         return cls(by_id, combiner, threshold)
 
 
-class _TransactionFields(NamedTuple):
-    id: str
-    triggered: tuple[str, ...] = ()
-    payload: Mapping | None = None
-
-
-class Transaction(_TransactionFields):
+class Transaction(namedtuple("Transaction", "id triggered payload")):
     """A transaction to score: its id, which rules fired, and opaque payload.
 
     A rule id triggered more than once counts once: ``triggered`` keeps the
@@ -201,9 +196,7 @@ class Transaction(_TransactionFields):
             triggered = tuple(dict.fromkeys(triggered))
         return tuple.__new__(cls, (id, triggered, payload))
 
-    @classmethod
-    def _make(cls, iterable: Iterable) -> Transaction:  # what _replace builds with
-        return cls(*iterable)
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class ScoreReport(NamedTuple):

@@ -3,7 +3,6 @@
 import math
 import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -247,7 +246,7 @@ class TestScoreDempster:
         m = ruleset.rules["R1"].to_mass()
         genuine = FRAUD_FRAME.singleton("genuine")
         assert ruleset.triples == {"R1": (m.mass(FRAUD), m.mass(genuine), m.mass(OMEGA))}
-        assert replace(ruleset, combiner=SIMPLIFIED).triples == ruleset.triples
+        assert ruleset._replace(combiner=SIMPLIFIED).triples == ruleset.triples
 
     def test_combiner_names(self):
         names = (STANDARD.name, SIMPLIFIED.name, BayesCombiner.name)
@@ -314,12 +313,12 @@ class TestScoreBayesFold:
         ruleset, model = bayes_ruleset(0.25, {"E1": (0.5, 0.25)}, extra_rules=["R9"])
         assert ruleset.pairs == {"E1": model.likelihoods["E1"]}
         assert ds_ruleset([RuleSpec.from_score("E1", 0.5)]).pairs == {}
-        assert replace(ruleset, threshold=0.9).pairs == ruleset.pairs
+        assert ruleset._replace(threshold=0.9).pairs == ruleset.pairs
 
     def test_ruleset_compiles_no_triples(self):
         ruleset, _ = bayes_ruleset(0.25, {"E1": (0.5, 0.25)}, extra_rules=["R9"])
         assert ruleset.triples == {}
-        assert replace(ruleset, combiner=STANDARD).triples.keys() == {"E1", "R9"}
+        assert ruleset._replace(combiner=STANDARD).triples.keys() == {"E1", "R9"}
 
     def test_folds_in_sorted_id_order(self):
         # Multiplied in trigger order (E2, E1, E3), the last bit differs.

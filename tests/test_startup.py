@@ -1,6 +1,8 @@
 """What the package loads: a score or fit process loads only the binary
-kernels, and the package binds each export when it is first read."""
+kernels, no command loads dataclasses, and the package binds each export
+when it is first read."""
 
+import ast
 import json
 import os
 import subprocess
@@ -14,8 +16,12 @@ from scorefusion import bayes, combination, evidence, kernel, scoring
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# Standard modules no command needs: dataclasses, and inspect, which it
+# imports, take longer to load than a one-transaction score takes to run.
+UNUSED_STDLIB = ("dataclasses", "inspect")
+
 # Runs each argv through cli.main in a fresh interpreter, stdout discarded,
-# then prints the exit codes and the package's modules that were loaded.
+# then prints the exit codes and every module that was loaded.
 PROBE = """
 import contextlib, io, json, sys
 from scorefusion.cli import main
@@ -23,8 +29,7 @@ statuses = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         statuses.append(main(argv))
-loaded = sorted(name for name in sys.modules if name.startswith("scorefusion"))
-print(json.dumps([statuses, loaded]))
+print(json.dumps([statuses, sorted(sys.modules)]))
 """
 
 
@@ -63,6 +68,37 @@ def test_combine_loads_evidence():
     statuses, loaded = probe(argv)
     assert statuses == [0]
     assert "scorefusion.evidence" in loaded
+
+
+@pytest.mark.parametrize("command", ["fit", "score", "combine"])
+def test_no_command_loads_dataclasses(command, tmp_path, history_csv):
+    config = tmp_path / "rules.json"
+    config.write_text(json.dumps({"rules": [{"id": "E1", "score": 0.7}]}), encoding="utf-8")
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text('{"id": "t1", "triggered": ["E1"]}\n', encoding="utf-8")
+    argv = {
+        "fit": ["fit", str(history_csv), str(tmp_path / "model.json")],
+        "score": ["score", str(config), str(batch)],
+        "combine": ["combine", "--mass", "f=0.6,g=0.4", "--mass", "f=0.2,g=0.5,u=0.3"],
+    }[command]
+    statuses, loaded = probe(argv)
+    assert statuses == [0]
+    assert [name for name in loaded if name in UNUSED_STDLIB] == []
+
+
+def test_no_module_imports_dataclasses():
+    strays = []
+    for path in sorted(SRC.glob("scorefusion/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                strays.append(f"{path.name}:{node.lineno}")
+    assert strays == []
 
 
 @pytest.fixture
