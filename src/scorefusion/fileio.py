@@ -41,8 +41,20 @@ def _reject_constant(token: str) -> float:
     raise ParseError(f"{token} is not a JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    """A batch's ``parse_float``: a literal too large for a float, such as
+    1e999, would decode as an infinity, which could not be written back."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ParseError(f"{literal} overflows a float")
+    return value
+
+
+# The hooks every batch line is decoded with, by the scanner and by json.loads.
+_BATCH_HOOKS = {"parse_constant": _reject_constant, "parse_float": _finite_float}
+
 # What json.loads runs once it has checked its input: one value from an index.
-_scan_json = json.JSONDecoder(parse_constant=_reject_constant).scan_once
+_scan_json = json.JSONDecoder(**_BATCH_HOOKS).scan_once
 
 
 def load_history_csv(path: str | Path) -> LabeledHistory:
@@ -243,7 +255,7 @@ def load_batch(path: str | Path) -> list[Transaction]:
 
 def _decode_line(text: str, path: Path, line_number: int) -> Any:
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, **_BATCH_HOOKS)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{line_number}: invalid record: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an int too long, too deep

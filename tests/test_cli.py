@@ -1039,3 +1039,49 @@ def test_fuzzed_invocations_end_in_an_exit_code(tmp_path_factory, data):
     argv = data.draw(_invocations(work))
     status, _, err = run_main(argv)
     assert status in (0, 1, 2, 3), (argv, err)
+
+
+# Number literals a batch line may hold, among them some too large for a float.
+_number_literals = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["1e999", "-1e400", "2E+308", "1.7976931348623159e308", "1e-400", "-0.0"]),
+)
+
+
+@st.composite
+def _batches_with_numbers(draw):
+    """Batch lines with raw number literals in the payload and beside it."""
+    lines = []
+    for index in range(draw(st.integers(1, 4))):
+        triggered = json.dumps(draw(st.lists(st.sampled_from(_RULE_IDS), unique=True)))
+        inner = ", ".join(draw(st.lists(_number_literals, max_size=3)))
+        extra = draw(_number_literals)
+        lines.append(
+            f'{{"id": "t{index}", "triggered": {triggered}, "payload": {{"x": [{inner}]}}, '
+            f'"y": {extra}}}'
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_jsonl_line_is_json(tmp_path_factory, data):
+    """Whatever numbers a batch holds, each line score --output jsonl prints
+    parses as strict JSON: no NaN or Infinity token."""
+    work = tmp_path_factory.getbasetemp() / "jsonl"
+    work.mkdir(exist_ok=True)
+    write(work / "model.json", json.dumps(_MODEL))
+    combiner = data.draw(st.sampled_from(["ds-standard", "ds-paper", "bayes"]))
+    rules = [{"id": rule_id, "score": 0.6} for rule_id in _RULE_IDS]
+    document = {"combiner": combiner, "model": "model.json", "rules": rules}
+    config = write(work / "rules.json", json.dumps(document))
+    batch = write(work / "batch.jsonl", data.draw(_batches_with_numbers()))
+    status, out, err = run_main(["score", config, batch, "--output", "jsonl"])
+    assert status in (0, 1, 2), err
+    for line in out.splitlines():
+        json.loads(line, parse_constant=_no_constant)

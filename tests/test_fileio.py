@@ -488,6 +488,12 @@ class TestBatchFile:
                 "invalid record: Infinity is not a JSON number",
             ),
             ('{"id": "t2", "v": -Infinity} x', "invalid record: -Infinity is not a JSON number"),
+            ('{"id":"t2","triggered":["R1"],"x":1e999}', "invalid record: 1e999 overflows a float"),
+            ('{"id": "t2", "v": -1e400}', "invalid record: -1e400 overflows a float"),
+            (
+                '{"id": "t2", "triggered": [], "payload": {"a": [1.5, {"b": 2E+308}]}}',
+                "invalid record: 2E+308 overflows a float",
+            ),
         ],
         ids=[
             "invalid",
@@ -502,6 +508,9 @@ class TestBatchFile:
             "nan",
             "infinity-in-payload",
             "negative-infinity-before-extra-data",
+            "overflow",
+            "negative-overflow",
+            "overflow-in-payload",
         ],
     )
     def test_bad_line_message(self, tmp_path, line, message):
