@@ -229,10 +229,15 @@ def classify(bel_fraud: float, pl_fraud: float, threshold: float) -> Classificat
 
     confirmed: even the lower bound clears the threshold. suspicious: the
     upper bound clears it, so fraud cannot be ruled out. confirmed implies
-    suspicious because bel <= pl.
+    suspicious because bel <= pl. Raises InvalidValue unless
+    0 <= bel <= pl <= 1 and 0 <= threshold <= 1, which NaN never is.
     """
     if bel_fraud > pl_fraud:
         raise InvalidValue(f"bel {bel_fraud!r} exceeds pl {pl_fraud!r}")
+    if not 0.0 <= bel_fraud <= pl_fraud <= 1.0:
+        raise InvalidValue(f"invalid belief interval [{bel_fraud!r}, {pl_fraud!r}]")
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidValue(f"threshold must be in [0, 1], got {threshold!r}")
     return ClassificationFlags(
         suspicious=pl_fraud > threshold, confirmed=bel_fraud > threshold
     )

@@ -31,6 +31,7 @@ from scorefusion import (
 )
 from scorefusion.errors import (
     FusionError,
+    InvalidValue,
     NoEvidence,
     TotalConflict,
     UnknownEvidence,
@@ -458,6 +459,27 @@ class TestClassify:
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
             classify(0.9, 0.3, 0.5)
+
+    @pytest.mark.parametrize(
+        "bel, pl, threshold, message",
+        [
+            (math.nan, 0.4, 0.5, "invalid belief interval [nan, 0.4]"),
+            (0.2, math.nan, 0.5, "invalid belief interval [0.2, nan]"),
+            (0.2, 0.4, math.nan, "threshold must be in [0, 1], got nan"),
+            (-math.inf, math.inf, 0.5, "invalid belief interval [-inf, inf]"),
+            (0.2, math.inf, 0.5, "invalid belief interval [0.2, inf]"),
+            (-0.1, 0.4, 0.5, "invalid belief interval [-0.1, 0.4]"),
+            (0.2, 1.5, 0.5, "invalid belief interval [0.2, 1.5]"),
+            (0.2, 0.4, -math.inf, "threshold must be in [0, 1], got -inf"),
+            (0.2, 0.4, 1.5, "threshold must be in [0, 1], got 1.5"),
+            (0.9, 0.3, 0.5, "bel 0.9 exceeds pl 0.3"),
+            (math.inf, 0.3, 0.5, "bel inf exceeds pl 0.3"),
+        ],
+    )
+    def test_rejects_non_finite_and_out_of_range_input(self, bel, pl, threshold, message):
+        with pytest.raises(InvalidValue) as info:
+            classify(bel, pl, threshold)
+        assert str(info.value) == message
 
     def test_raising_threshold_never_flags_more(self):
         for bel, pl in ((0.2, 0.8), (0.5, 0.5), (0.7, 0.9)):
