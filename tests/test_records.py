@@ -61,6 +61,16 @@ def test_a_copy_is_an_equal_record(name, copier):
     assert clone == record
 
 
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_and_have_no_instance_dict(name):
+    record = RECORDS[name]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(record, type(record)._fields[0], None)
+
+
 # Each record, a bad change to it, and the error its constructor raises.
 BAD_CHANGES = {
     "RuleSpec-negative": (
