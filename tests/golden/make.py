@@ -32,7 +32,7 @@ SEED = 6  # the first seed whose 50-transaction triage-ds batch plants both side
 N_TXNS = 50
 HISTORY_TXNS = 100
 SMOOTHING = {"triage-ds": "0", "ingest-payload": "0.5", "bayes-fit": "1"}
-EXIT_CODES = "exit_codes.json"
+STATUS_FILE = "exit_codes.json"
 
 
 def cases() -> dict[str, list[str]]:
@@ -88,7 +88,8 @@ def make_inputs() -> None:
                 shutil.copy(source, GOLDEN / name / source.name)
     with tempfile.TemporaryDirectory() as scratch:
         status, outputs = run(cases()["bayes-fit.fit"], Path(scratch))
-        assert status == 0, "fit failed on the bayes-fit history"
+        if status != 0:
+            raise SystemExit("fit failed on the bayes-fit history")
         (GOLDEN / "bayes-fit" / "model.json").write_bytes(outputs[".model.json"])
 
 
@@ -101,7 +102,7 @@ def make_expected() -> None:
             statuses[name], outputs = run(argv, Path(scratch))
         for suffix, data in outputs.items():
             (EXPECTED / f"{name}{suffix}").write_bytes(data)
-    (EXPECTED / EXIT_CODES).write_text(json.dumps(statuses, indent=1) + "\n", encoding="utf-8")
+    (EXPECTED / STATUS_FILE).write_text(json.dumps(statuses, indent=1) + "\n", encoding="utf-8")
 
 
 def main() -> None:

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from golden.make import EXIT_CODES, EXPECTED, cases, run
+from golden.make import EXPECTED, STATUS_FILE, cases, run
 
 CASES = cases()
-STATUSES = json.loads((EXPECTED / EXIT_CODES).read_text(encoding="utf-8"))
+STATUSES = json.loads((EXPECTED / STATUS_FILE).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
