@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from .bayes import BayesModel, EvidenceCounts, LabeledHistory, Likelihood
+from .bayes import BayesModel, LabeledHistory
 from .errors import EmptyHistory, FusionError, ParseError
 from .scoring import (
     DEMPSTER_MODES,
@@ -112,10 +112,7 @@ def load_history_csv(path: str | Path) -> LabeledHistory:
         raise EmptyHistory(f"{path}: history contains no transactions")
     total = len(labels)
     fraud_count = sum(1 for value in labels.values() if value == "fraud")
-    evidence = {
-        rule_id: EvidenceCounts(counts[0], counts[1])
-        for rule_id, counts in sorted(tallies.items())
-    }
+    evidence = dict(sorted(tallies.items()))  # [fraud, genuine] tallies, by id
     return LabeledHistory(total=total, fraud_count=fraud_count, evidence=evidence)
 
 
@@ -152,7 +149,7 @@ def load_model(path: str | Path) -> BayesModel:
         for eid, entry in likelihoods_doc.items():
             if not isinstance(entry, dict):
                 raise ParseError(f"{path}: likelihood {eid!r} must be an object")
-            likelihoods[eid] = Likelihood(
+            likelihoods[eid] = (
                 _number(entry, "p_given_fraud", f"{path}: likelihood {eid!r}"),
                 _number(entry, "p_given_genuine", f"{path}: likelihood {eid!r}"),
             )

@@ -53,7 +53,10 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
 
     The masses can be given directly, or derived from an expert score p and
     an uncertainty u via :meth:`from_score`: p(1-u) goes to fraud, (1-p)(1-u)
-    to genuine, and u stays on the full set.
+    to genuine, and u stays on the full set. They are stored as the rule's
+    mass function stores them, the :func:`mass_triple` of the given ones:
+    each a float, a zero as 0.0, and a total within the tolerance of 1 but
+    not exactly 1 rescaled to exactly 1. A RuleSet's ``triples`` reads them.
     """
 
     __slots__ = ()
@@ -72,14 +75,18 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
         for name, value in zip(("m_fraud", "m_genuine", "m_uncertain"), masses):
             if not (isfinite(value) and value >= 0.0):
                 raise InvalidValue(f"rule {id!r}: {name} must be finite and >= 0, got {value!r}")
-        # Summed and judged as the rule's mass function sums and judges them.
+        # Converted, summed, judged and rescaled as the rule's mass function
+        # converts, sums, judges and rescales them.
+        floats = [float(m) if m > 0.0 else 0.0 for m in masses]
         try:
-            total = fsum(masses)
+            total = fsum(floats)
         except OverflowError:  # finite masses, infinite sum: not normalized
             total = inf
         if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
             raise InvalidValue(f"rule {id!r}: masses sum to {total!r}, expected 1")
-        return tuple.__new__(cls, (id, *masses, description))
+        if total != 1.0:
+            floats = rescale_exact(floats, total)
+        return tuple.__new__(cls, (id, *floats, description))
 
     # What _replace builds with, so that it checks what the constructor checks.
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -129,10 +136,10 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
     """Immutable scoring configuration: rules, combiner choice, threshold.
 
     Only the table the combiner folds is compiled; the other is empty. Under
-    a Dempster combiner, ``triples`` holds each rule's :func:`mass_triple`,
-    bit for bit, for the closed-form fold. Under a Bayes combiner, ``pairs``
-    holds the model's (p_given_fraud, p_given_genuine) for each rule the
-    model knows, for the rescaled posterior product. Both are compiled from
+    a Dempster combiner, ``triples`` holds each rule's stored masses, its
+    :func:`mass_triple` bit for bit, for the closed-form fold. Under a Bayes
+    combiner, ``pairs`` holds the model's (p_given_fraud, p_given_genuine)
+    for each rule the model knows, for the rescaled posterior product. Both are compiled from
     the other fields, also under ``_replace``, and never passed in. A
     threshold of -0.0 is stored as 0.0, so that no report prints its sign.
     """
@@ -153,7 +160,7 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
             likelihoods = combiner.model.likelihoods
             pairs = {rule_id: likelihoods[rule_id] for rule_id in rules if rule_id in likelihoods}
         else:
-            triples = {rule_id: _rule_triple(spec) for rule_id, spec in rules.items()}
+            triples = {rule_id: spec[1:4] for rule_id, spec in rules.items()}
         return tuple.__new__(cls, (rules, combiner, threshold + 0.0, triples, pairs))
 
     @classmethod
@@ -382,20 +389,6 @@ def mass_triple(fraud: float, genuine: float, either: float) -> tuple[float, flo
     _, fraud_set, genuine_set, either_set = _frame_sets()
     m = _mass_function(fraud, genuine, either)
     return m.mass(fraud_set), m.mass(genuine_set), m.mass(either_set)
-
-
-def _rule_triple(spec: RuleSpec) -> tuple[float, float, float]:
-    """:func:`mass_triple` of a rule's masses, which RuleSpec has checked,
-    without building the mass function: each mass a float, a zero stored as
-    0.0, and a total other than exactly 1 rescaled as the mass function
-    rescales it."""
-    masses = [
-        float(m) if m > 0.0 else 0.0 for m in (spec.m_fraud, spec.m_genuine, spec.m_uncertain)
-    ]
-    total = fsum(masses)
-    if total != 1.0:
-        masses = rescale_exact(masses, total)
-    return masses[0], masses[1], masses[2]
 
 
 def _mass_function(fraud: float, genuine: float, either: float) -> MassFunction:

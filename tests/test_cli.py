@@ -437,6 +437,23 @@ class TestScore:
         record = json.loads(out.splitlines()[1])
         assert record["payload"] == {"amount": 99.5}
 
+    def test_payload_numbers_are_decoded_and_reencoded(self, capsys, tmp_path):
+        # A float literal comes back as its double's shortest repr, so it
+        # may lose digits or change spelling; an integer keeps every digit.
+        config = write(
+            tmp_path / "rules.json", json.dumps({"rules": [{"id": "R1", "score": 0.8}]})
+        )
+        batch = write(
+            tmp_path / "batch.jsonl",
+            '{"id": "t1", "triggered": ["R1"], "payload": {"x": 1e-400, "y": 0.10, '
+            '"z": 1E5, "w": 12345678901234567890.5, "n": 12345678901234567890123}}\n',
+        )
+        _, out, _ = run_cli(capsys, "score", config, batch, "--output", "jsonl")
+        assert out.splitlines()[1].endswith(
+            '"payload": {"x": 0.0, "y": 0.1, "z": 100000.0, "w": 1.2345678901234567e+19, '
+            '"n": 12345678901234567890123}}'
+        )
+
 
 _NEEDS_BAYES = "{config}: --combiner bayes needs a config whose combiner is 'bayes'"
 _MODE_NOT_BAYES = "--mode does not apply to the bayes combiner"

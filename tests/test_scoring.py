@@ -412,6 +412,20 @@ class TestScoreBayesFold:
         with pytest.raises(NoEvidence, match="'t'"):
             score(ruleset, Transaction("t", ()))
 
+    def test_model_id_missing_from_the_config_is_an_unknown_rule(self):
+        # The model knows E2 but the config has no rule E2, so its pair is
+        # never folded: score raises and score_batch reports an error row.
+        model = BayesModel(0.3, 0.7, {"E1": (0.6, 0.2), "E2": (0.5, 0.1)})
+        ruleset = RuleSet.from_rules([RuleSpec.from_score("E1", 0.5)], BayesCombiner(model))
+        batch = [Transaction("t1", ("E1", "E2")), Transaction("t2", ("E2",))]
+        for txn in batch:
+            with pytest.raises(UnknownRule, match="'E2'"):
+                score(ruleset, txn)
+        assert score_batch(ruleset, batch) == (
+            [],
+            [(batch[0], "error", "UnknownRule"), (batch[1], "error", "UnknownRule")],
+        )
+
 
 class TestSlottedRecords:
     def test_reports_and_transactions_have_no_instance_dict(self):
@@ -583,6 +597,11 @@ class TestRuleSet:
         assert len(compiled) == 3
         for got, want in zip(compiled, expected):
             assert type(got) is float and type(want) is float
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        stored = RuleSpec("R1", *masses)[1:4]
+        for got, want in zip(stored, expected, strict=True):
+            assert type(got) is float
             assert got == want
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
 

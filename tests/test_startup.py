@@ -1,6 +1,6 @@
 """What the package loads: a score or fit process loads only the binary
-kernels, no command loads dataclasses, and the package binds each export
-when it is first read."""
+kernels, no command loads dataclasses or anything outside the standard
+library, and the package binds each export when it is first read."""
 
 import ast
 import json
@@ -21,15 +21,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 UNUSED_STDLIB = ("dataclasses", "inspect")
 
 # Runs each argv through cli.main in a fresh interpreter, stdout discarded,
-# then prints the exit codes and every module that was loaded.
+# then prints the exit codes, every module that was loaded, and those that
+# importing the CLI and running the argvs added to what start-up loaded.
 PROBE = """
-import contextlib, io, json, sys
+import sys
+started = set(sys.modules)
+import contextlib, io, json
 from scorefusion.cli import main
 statuses = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         statuses.append(main(argv))
-print(json.dumps([statuses, sorted(sys.modules)]))
+print(json.dumps([statuses, sorted(sys.modules), sorted(set(sys.modules) - started)]))
 """
 
 
@@ -46,6 +49,16 @@ def probe(*argvs):
     return json.loads(proc.stdout)
 
 
+def outside_stdlib(modules):
+    """The modules that are neither standard nor part of this package."""
+    return [
+        name
+        for name in modules
+        if name.partition(".")[0] not in sys.stdlib_module_names
+        and name.partition(".")[0] != "scorefusion"
+    ]
+
+
 def test_score_and_fit_load_neither_evidence_nor_combination(tmp_path, history_csv):
     rules = [{"id": "E1", "score": 0.7, "uncertainty": 0.2}, {"id": "E2", "score": 0.4}]
     batch = tmp_path / "batch.jsonl"
@@ -56,8 +69,9 @@ def test_score_and_fit_load_neither_evidence_nor_combination(tmp_path, history_c
         document = {"combiner": combiner, "model": "model.json", "rules": rules}
         config.write_text(json.dumps(document), encoding="utf-8")
         argvs.append(["score", str(config), str(batch), "--output", output])
-    statuses, loaded = probe(*argvs)
+    statuses, loaded, added = probe(*argvs)
     assert statuses == [0, 0, 0, 0]
+    assert outside_stdlib(added) == []
     assert "scorefusion.kernel" in loaded
     assert "scorefusion.evidence" not in loaded
     assert "scorefusion.combination" not in loaded
@@ -66,8 +80,9 @@ def test_score_and_fit_load_neither_evidence_nor_combination(tmp_path, history_c
 
 def test_combine_loads_evidence():
     argv = ["combine", "--mass", "f=0.6,g=0.3,u=0.1", "--mass", "f=0.2,g=0.5,u=0.3"]
-    statuses, loaded = probe(argv)
+    statuses, loaded, added = probe(argv)
     assert statuses == [0]
+    assert outside_stdlib(added) == []
     assert "scorefusion.evidence" in loaded
     assert not set(UNUSED_STDLIB) & set(loaded)
 
