@@ -172,7 +172,10 @@ class MassFunction:
             if hset in seen:
                 raise DuplicateSet(f"duplicate assignment for {hset!r}")
             seen.add(hset)
-            value = float(raw)
+            try:
+                value = float(raw)
+            except OverflowError:  # an int too large for a float
+                value = inf if raw > 0 else -inf
             if not isfinite(value):
                 raise NonFiniteMass(f"mass {value!r} on {hset!r} is not finite")
             if value < 0.0:

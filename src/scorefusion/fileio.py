@@ -198,9 +198,16 @@ def load_batch(path: str | Path) -> list[Transaction]:
 
     Each line is an object {id, triggered, payload?}; any unknown fields are
     folded into the payload. Transaction ids must be unique within the batch.
+    The batch holds each rule id once, and each top-level payload key once
+    across consecutive lines whose payloads have the same keys in the same
+    order; the scanner makes fresh strings on every line.
     """
     transactions: list[Transaction] = []
     seen: set[str] = set()
+    rule_ids: dict[str, str] = {}  # each id seen, mapped to its first copy
+    shared_id = rule_ids.__getitem__
+    shape: tuple[str, ...] = ()  # the previous payload's keys, in order
+    template: dict[str, None] = {}  # those keys, mapped to None
     with _naming(path) as path, open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
@@ -228,24 +235,36 @@ def load_batch(path: str | Path) -> list[Transaction]:
                 )
             seen.add(txn_id)
             triggered = record.get("triggered", [])
-            if not _is_str_list(triggered):
+            if type(triggered) is list:
+                try:
+                    triggered = tuple(map(shared_id, triggered))
+                except (KeyError, TypeError):  # an id first seen here, or not an id
+                    if all(type(rule_id) is str for rule_id in triggered):
+                        triggered = tuple(rule_ids.setdefault(i, i) for i in triggered)
+            if type(triggered) is not tuple:
                 raise ParseError(
                     f"{path}:{line_number}: 'triggered' must be a list of rule ids"
                 )
             if len(record) == 1 + ("triggered" in record):  # nothing but id, triggered
                 payload = None
             else:
-                explicit = record.get("payload")
-                if explicit is not None and not isinstance(explicit, dict):
+                # Both dicts were decoded here, so they are ours to change.
+                payload = record.pop("payload", None)
+                if payload is None:
+                    payload = {}
+                elif not isinstance(payload, dict):
                     raise ParseError(
                         f"{path}:{line_number}: 'payload' must be an object"
                     )
-                payload = dict(explicit or {})
-                payload.update(
-                    (key, value)
-                    for key, value in record.items()
-                    if key not in ("id", "triggered", "payload")
-                )
+                del record["id"]
+                record.pop("triggered", None)
+                payload.update(record)  # the extra fields, in line order
+                keys = tuple(payload)
+                if keys == shape:  # refill the previous line's keys
+                    payload, filled = template.copy(), payload
+                    payload.update(filled)
+                else:
+                    shape, template = keys, dict.fromkeys(keys)
             transactions.append(Transaction(txn_id, triggered, payload or None))
     return transactions
 
@@ -303,15 +322,6 @@ def _number(mapping: dict, key: str, where: str) -> float:
     if not math.isfinite(number):
         raise ParseError(f"{where}: field {key!r} must be finite, got {value!r}")
     return number
-
-
-def _is_str_list(value: Any) -> bool:
-    if not isinstance(value, list):
-        return False
-    for item in value:
-        if not isinstance(item, str):
-            return False
-    return True
 
 
 def _is_unicode(text: str) -> bool:

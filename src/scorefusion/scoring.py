@@ -73,7 +73,11 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
             raise InvalidValue("rule id must be non-empty")
         masses = (m_fraud, m_genuine, m_uncertain)
         for name, value in zip(("m_fraud", "m_genuine", "m_uncertain"), masses):
-            if not (isfinite(value) and value >= 0.0):
+            try:
+                valid = isfinite(value) and value >= 0.0
+            except OverflowError:  # an int too large for a float
+                valid, value = False, inf if value > 0 else -inf
+            if not valid:
                 raise InvalidValue(f"rule {id!r}: {name} must be finite and >= 0, got {value!r}")
         # Converted, summed, judged and rescaled as the rule's mass function
         # converts, sums, judges and rescales them.

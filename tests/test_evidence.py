@@ -94,6 +94,16 @@ class TestMassConstruction:
         with pytest.raises(NonFiniteMass, match=f"mass {bad!r} on .*fraud.* is not finite"):
             MassFunction(BINARY, [(FRAUD, bad), (GENUINE, 0.5), (OMEGA, 0.5)])
 
+    @pytest.mark.parametrize(
+        ("bad", "read"),
+        [(10**400, "inf"), (-(10**5000), "-inf")],
+        ids=["int-too-large", "negative-int-past-the-digit-limit"],
+    )
+    def test_int_mass_too_large_for_a_float_names_set(self, bad, read):
+        with pytest.raises(NonFiniteMass) as info:
+            MassFunction(BINARY, [(FRAUD, 0.5), (GENUINE, bad), (OMEGA, 0.5)])
+        assert str(info.value) == f"mass {read} on HypothesisSet({{genuine}}) is not finite"
+
     def test_empty_set_mass(self):
         with pytest.raises(EmptySetMass):
             MassFunction(BINARY, [(BINARY.empty, 0.1), (OMEGA, 0.9)])

@@ -84,7 +84,16 @@ class TestRuleSpec:
         with pytest.raises(ValueError):
             RuleSpec("", 1.0, 0.0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            float("nan"),
+            float("inf"),
+            float("-inf"),
+            pytest.param(10**400, id="int-too-large"),
+            pytest.param(-(10**400), id="negative-int-too-large"),
+        ],
+    )
     @pytest.mark.parametrize("field", ["m_fraud", "m_genuine", "m_uncertain"])
     def test_non_finite_mass_names_rule(self, field, bad):
         masses = {"m_fraud": 0.5, "m_genuine": 0.5, "m_uncertain": 0.0, field: bad}
