@@ -13,7 +13,7 @@ import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import IO, Any, Iterator
 
 from .bayes import BayesModel, LabeledHistory
 from .errors import EmptyHistory, FusionError, ParseError
@@ -61,59 +61,89 @@ def load_history_csv(path: str | Path) -> LabeledHistory:
     """Aggregate a trigger-level CSV (txn_id,label,rule_id) into counts.
 
     One row per trigger; transactions without triggers appear once with an
-    empty rule_id. Duplicate (txn, rule) rows collapse; conflicting labels
-    for one transaction are an error.
+    empty rule_id. Rows may come in any order, and duplicate (txn, rule)
+    rows collapse; conflicting labels for one transaction are an error.
+    A leading byte order mark is skipped. A transaction that comes back
+    after another one sends a seekable file back to the top (see
+    ``_count_history``); a pipe is read once.
     """
-    labels: dict[str, str] = {}
-    triggers: set[tuple[str, str]] = set()
-    # Each (txn, rule) pair is counted when first seen, under the row's
-    # label, which the conflict check has just forced to be the txn's label.
-    tallies: dict[str, list[int]] = {}
-    with _naming(path) as path, open(path, newline="", encoding="utf-8") as handle:
-        try:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(
-                    f"{path}: empty file, expected header {','.join(HISTORY_HEADER)}"
-                )
-            if tuple(h.strip() for h in header) != HISTORY_HEADER:
-                raise ParseError(f"{path}:1: expected header {','.join(HISTORY_HEADER)}")
-            for row in reader:
-                if len(row) == 3:
-                    txn_id, label, rule_id = row
-                    txn_id, label, rule_id = txn_id.strip(), label.strip(), rule_id.strip()
-                else:
-                    txn_id = ""
-                if not txn_id:
-                    if all(not field.strip() for field in row):
-                        continue
-                    where = f"{path}:{reader.line_num}"
-                    if len(row) != 3:
-                        raise ParseError(f"{where}: expected 3 fields, got {len(row)}")
-                    raise ParseError(f"{where}: empty txn_id")
-                if label not in ("fraud", "genuine"):
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: label must be 'fraud' or 'genuine', "
-                        f"got {label!r}"
-                    )
-                previous = labels.setdefault(txn_id, label)
-                if previous != label:
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: transaction {txn_id!r} labeled both "
-                        f"{previous!r} and {label!r}"
-                    )
-                if rule_id and (txn_id, rule_id) not in triggers:
-                    triggers.add((txn_id, rule_id))
-                    tallies.setdefault(rule_id, [0, 0])[0 if label == "fraud" else 1] += 1
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    with _naming(path) as path, open(path, newline="", encoding="utf-8-sig") as handle:
+        counted = _count_history(handle, path, None if handle.seekable() else {})
+        if counted is None:  # a transaction came back
+            handle.seek(0)
+            counted = _count_history(handle, path, {})
+    labels, tallies = counted
     if not labels:  # outside the naming scope, which would make it a ParseError
         raise EmptyHistory(f"{path}: history contains no transactions")
     total = len(labels)
     fraud_count = sum(1 for value in labels.values() if value == "fraud")
     evidence = dict(sorted(tallies.items()))  # [fraud, genuine] tallies, by id
     return LabeledHistory(total=total, fraud_count=fraud_count, evidence=evidence)
+
+
+def _count_history(
+    handle: IO[str], path: Path, runs: dict[str, set[str]] | None
+) -> tuple[dict[str, str], dict[str, list[int]]] | None:
+    """Each transaction's label and each rule's [fraud, genuine] tally.
+
+    ``runs`` maps each transaction to the rule ids counted for it. When it
+    is None, only the current run's ids are kept (a run is a stretch of
+    rows with one txn_id), and None is returned when a transaction comes
+    back, since its earlier ids are gone.
+    """
+    labels: dict[str, str] = {}
+    tallies: dict[str, list[int]] = {}
+    run_txn = run_label = ""
+    seen: set[str] = set()  # the rule ids counted for run_txn
+    side = 0  # run_label's slot in a tally
+    reader = csv.reader(handle)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(
+                f"{path}: empty file, expected header {','.join(HISTORY_HEADER)}"
+            )
+        if tuple(h.strip() for h in header) != HISTORY_HEADER:
+            raise ParseError(f"{path}:1: expected header {','.join(HISTORY_HEADER)}")
+        for row in reader:
+            if len(row) == 3:
+                txn_id, label, rule_id = row
+                txn_id, label, rule_id = txn_id.strip(), label.strip(), rule_id.strip()
+            else:
+                txn_id = ""
+            if not txn_id:
+                if all(not field.strip() for field in row):
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != 3:
+                    raise ParseError(f"{where}: expected 3 fields, got {len(row)}")
+                raise ParseError(f"{where}: empty txn_id")
+            if txn_id != run_txn or label != run_label:
+                if label not in FRAME_LABELS:
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: label must be 'fraud' or 'genuine', "
+                        f"got {label!r}"
+                    )
+                if txn_id != run_txn:
+                    if runs is not None:
+                        seen = runs.setdefault(txn_id, set())
+                    elif txn_id in labels:  # back after another run
+                        return None
+                    else:
+                        seen = set()
+                    run_txn, run_label = txn_id, labels.setdefault(txn_id, label)
+                    side = FRAME_LABELS.index(run_label)
+                if label != run_label:
+                    raise ParseError(
+                        f"{path}:{reader.line_num}: transaction {txn_id!r} labeled both "
+                        f"{run_label!r} and {label!r}"
+                    )
+            if rule_id and rule_id not in seen:
+                seen.add(rule_id)
+                tallies.setdefault(rule_id, [0, 0])[side] += 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+    return labels, tallies
 
 
 def save_model(model: BayesModel, path: str | Path) -> None:

@@ -1,8 +1,14 @@
 """History CSV, model file, rule config, and batch parsing."""
 
 import ast
+import contextlib
 import json
+import os
+import random
+import re
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +24,7 @@ from scorefusion import (
     fit,
     posterior,
 )
-from scorefusion.bayes import EvidenceCounts
+from scorefusion.bayes import EvidenceCounts, LabeledHistory
 from scorefusion.errors import EmptyHistory, ParseError
 from scorefusion.fileio import (
     load_batch,
@@ -138,6 +144,104 @@ class TestHistoryCsv:
         history = load_history_csv(path)
         assert history.evidence == {"E1": EvidenceCounts(1, 1), "E2": EvidenceCounts(1, 0)}
 
+    def test_label_conflict_across_a_split_names_its_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text(
+            "txn_id,label,rule_id\nt1,fraud,E1\nt2,genuine,E1\nt1,genuine,E2\n",
+            encoding="utf-8",
+        )
+        message = ":4: transaction 't1' labeled both 'fraud' and 'genuine'"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_history_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("t4,dodgy,E1", ":7: label must be 'fraud' or 'genuine', got 'dodgy'"),
+            ("t4,fraud", ":7: expected 3 fields, got 2"),
+            (" ,fraud,E1", ":7: empty txn_id"),
+            ("t2,fraud,E3", ":7: transaction 't2' labeled both 'genuine' and 'fraud'"),
+        ],
+    )
+    def test_bad_row_after_a_transaction_comes_back_names_its_line(
+        self, tmp_path, row, message
+    ):
+        # t1 comes back on line 5, after a quoted newline; the bad row is
+        # on line 7, past where a one-run-at-a-time read stops.
+        path = tmp_path / "h.csv"
+        path.write_text(
+            'txn_id,label,rule_id\nt1,fraud,"E\n1"\nt2,genuine,E1\nt1,fraud,E2\n'
+            f"t3,fraud,E1\n{row}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_history_csv(path)
+
+    @pytest.mark.parametrize("comes_back", [False, True], ids=["grouped", "comes-back"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, history_csv, comes_back):
+        text = history_csv.read_text(encoding="utf-8")
+        if comes_back:  # read again from the top, where the mark is again
+            text += "F1,fraud,E1\n"
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbftxn_id,")
+        assert load_history_csv(path) == load_history_csv(history_csv)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "t1,fraud,E1\nt1,fraud,E2\nt2,genuine,E1\n",
+            "t1,fraud,E1\nt2,genuine,E1\nt1,fraud,E2\nt1,fraud,E1\n",
+            "t1,fraud,E1\nt2,genuine,E1\nt1,fraud,E2\nt3,fraud,E1\nt4,dodgy,E1\n",
+            "t1,fraud,E1\nt2,genuine,E1\nt1,genuine,E2\n",
+        ],
+        ids=["grouped", "comes-back", "comes-back-then-bad-label", "conflict-across-split"],
+    )
+    def test_a_pipe_reads_as_the_file_does(self, tmp_path, rows):
+        text = "txn_id,label,rule_id\n" + rows
+        path = tmp_path / "h.csv"
+        path.write_text(text, encoding="utf-8")
+        fifo = tmp_path / "h.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "w", encoding="utf-8") as f:
+                f.write(text)
+
+        outcomes = []
+        reader = threading.Thread(target=lambda: outcomes.append(_outcome(fifo)), daemon=True)
+        for thread in (threading.Thread(target=write, daemon=True), reader):
+            thread.start()
+        reader.join(timeout=10)
+        if reader.is_alive():  # it opened the pipe a second time: let it read nothing
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert outcomes == [_outcome(path)]
+
+    def test_a_grouped_history_keeps_only_the_current_run(self, tmp_path):
+        rng = random.Random(0)
+        rows = [
+            f"t{index:05d},{label},{rule_id}"
+            for index, label in enumerate(rng.choices(["fraud", "genuine"], k=10_000))
+            for rule_id in rng.sample([f"R{r}" for r in range(20)], 5)
+        ]
+        grouped = tmp_path / "grouped.csv"
+        grouped.write_text("txn_id,label,rule_id\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        rng.shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("txn_id,label,rule_id\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        peaks = []
+        for path in (grouped, shuffled):
+            tracemalloc.start()
+            try:
+                history = load_history_csv(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert history.total == 10_000
+        assert peaks[0] < peaks[1] / 2
+
     @settings(deadline=None)  # file I/O per example; a slow disk is not a failure
     @given(st.data())
     def test_matches_reference_aggregation(self, tmp_path_factory, data):
@@ -157,24 +261,43 @@ class TestHistoryCsv:
             for rule_id in rule_ids or [""]
         ]
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=8))
+        rows = data.draw(st.permutations(rows))
+        order = data.draw(st.sampled_from(["any", "grouped", "grouped-then-back"]))
+        if order != "any":
+            rows.sort(key=lambda row: row[0])  # stable: each txn's rows together
+        if order == "grouped-then-back":
+            rows.append(data.draw(st.sampled_from(rows)))
         pad = st.sampled_from(["", " ", "  "])
         lines = [",".join(data.draw(pad) + f + data.draw(pad) for f in row) for row in rows]
-        lines += data.draw(st.lists(st.sampled_from(["", ",,", " , , ", ",,,", " "]), max_size=4))
-        lines = data.draw(st.permutations(lines))
+        blanks = st.lists(st.sampled_from(["", ",,", " , , ", ",,,", " "]), max_size=4)
+        for blank in data.draw(blanks):
+            lines.insert(data.draw(st.integers(0, len(lines))), blank)
         path = tmp_path_factory.mktemp("history") / "h.csv"
         path.write_text("txn_id,label,rule_id\n" + "\n".join(lines) + "\n", encoding="utf-8")
 
-        labels = {txn_id: label for txn_id, label, _ in rows}
-        pairs = {(txn_id, rule_id) for txn_id, _, rule_id in rows if rule_id}
+        labels = {txn_id: label for txn_id, label, _ in set(rows)}
         counts: dict[str, list[int]] = {}
-        for txn_id, rule_id in pairs:
-            counts.setdefault(rule_id, [0, 0])[labels[txn_id] == "genuine"] += 1
+        for txn_id, label, rule_id in set(rows):
+            if rule_id:
+                counts.setdefault(rule_id, [0, 0])[label == "genuine"] += 1
+        reference = LabeledHistory(
+            total=len(labels),
+            fraud_count=list(labels.values()).count("fraud"),
+            evidence=dict(sorted(counts.items())),
+        )
 
         history = load_history_csv(path)
-        assert history.total == len(labels)
-        assert history.fraud_count == list(labels.values()).count("fraud")
-        assert history.evidence == {rid: EvidenceCounts(*c) for rid, c in counts.items()}
-        assert list(history.evidence) == sorted(counts)
+        assert history == reference
+        assert list(history.evidence) == list(reference.evidence)
+
+
+def _outcome(path):
+    """What loading the history at ``path`` gives: the history, or the
+    error message without the file name."""
+    try:
+        return load_history_csv(path)
+    except ParseError as exc:
+        return str(exc).removeprefix(str(path))
 
 
 class TestModelFile:
