@@ -20,7 +20,7 @@ from .errors import (
     NonFiniteMass,
     NotNormalized,
 )
-from .kernel import NORMALIZATION_TOLERANCE, rescale_exact
+from .kernel import NORMALIZATION_TOLERANCE, normalize
 
 # Subset queries enumerate focal elements, but tooling (and tests) may walk
 # the full power set, so keep 2^N bounded.
@@ -185,23 +185,14 @@ class MassFunction:
                     raise EmptySetMass(f"empty set carries mass {value!r}, must be 0")
                 continue
             masses[hset] = value
-        try:
-            total = fsum(masses.values())
-        except OverflowError:  # finite masses, infinite sum: not normalized
-            total = inf
-        if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+        ordered = sorted(masses, key=lambda hset: hset.mask)
+        total, values = normalize([masses[hset] for hset in ordered])
+        if values is None:
             raise NotNormalized(
                 f"masses sum to {total!r}, expected 1 within {NORMALIZATION_TOLERANCE}"
             )
-        focal = {
-            h: v
-            for h, v in sorted(masses.items(), key=lambda item: item[0].mask)
-            if v > 0.0
-        }
-        if total != 1.0:
-            focal = dict(zip(focal, rescale_exact(list(focal.values()), total)))
         self._frame = frame
-        self._masses = focal
+        self._masses = {h: v for h, v in zip(ordered, values) if v > 0.0}
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":

@@ -1,9 +1,10 @@
 """File formats: rule configs, transaction batches, history CSVs, model files.
 
 All structured files are JSON (decimal numbers, UTF-8); the history input is
-CSV. Parse failures raise :class:`ParseError` with the file and, where it
-applies, the line or rule that is at fault; a file the OS cannot open or read
-raises its ``OSError``, which carries the file name.
+CSV. Each loader skips a byte order mark at the start of its file. Parse
+failures raise :class:`ParseError` with the file and, where it applies, the
+line or rule that is at fault; a file the OS cannot open or read raises its
+``OSError``, which carries the file name.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def load_batch(path: str | Path) -> list[Transaction]:
     shared_id = rule_ids.__getitem__
     shape: tuple[str, ...] = ()  # the previous payload's keys, in order
     template: dict[str, None] = {}  # those keys, mapped to None
-    with _naming(path) as path, open(path, encoding="utf-8") as handle:
+    with _naming(path) as path, open(path, encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text:
@@ -365,7 +366,7 @@ def _is_unicode(text: str) -> bool:
 
 
 def _read_json_object(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -1,5 +1,5 @@
 """The binary-frame fusion kernel: the combination modes, the numeric limits
-a mass and a fold are judged by, the exact rescale of a mass vector, and the
+a mass and a fold are judged by, the normalisation of a mass vector, and the
 closed-form Dempster fold.
 
 Scoring needs nothing else from :mod:`scorefusion.combination` or
@@ -11,7 +11,7 @@ re-exports the mode, the conflict limit and the fold.
 from __future__ import annotations
 
 from enum import Enum
-from math import fsum
+from math import fsum, inf
 from typing import Sequence
 
 from .errors import EmptyInput, TotalConflict
@@ -42,19 +42,29 @@ class CombinationMode(Enum):
     SIMPLIFIED = "simplified"
 
 
-def rescale_exact(masses: list[float], total: float) -> list[float]:
-    """Divide the masses, listed in mask order, through by their total, then
-    pin the largest, the last of equals, so the values sum to exactly 1.0
-    under fsum.
+def normalize(masses: list[float]) -> tuple[float, list[float] | None]:
+    """Sum the masses, listed in mask order, with fsum, and return the total
+    (inf if it overflows) with the values to store: None when the total is
+    further than NORMALIZATION_TOLERANCE from 1, the masses when it is 1,
+    else the masses divided through by it with the largest, the last of
+    equals, pinned so the values sum to exactly 1.0 under fsum.
 
     The pinned value is the correctly rounded 1 - sum(others), computed in a
     single fsum; its error is at most half an ulp of the largest mass, which
     keeps the full fsum within half an ulp of 1.0. Zero entries stay zero.
     """
+    try:
+        total = fsum(masses)
+    except OverflowError:
+        return inf, None
+    if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+        return total, None
+    if total == 1.0:
+        return total, masses
     scaled = [m / total for m in masses]
     top = max(range(len(scaled)), key=lambda i: (scaled[i], i))
     scaled[top] = -fsum([-1.0, *scaled[:top], *scaled[top + 1 :]])
-    return scaled
+    return total, scaled
 
 
 def combine_binary(

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from math import fsum, inf, isfinite
+from math import inf, isfinite
 from typing import TYPE_CHECKING
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
@@ -15,7 +15,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, U
 # three by name.
 from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
 from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule
-from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary, rescale_exact
+# NORMALIZATION_TOLERANCE stays a module attribute beside RuleSpec.
+from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary  # noqa: F401
+from .kernel import normalize
 
 if TYPE_CHECKING:
     from .evidence import Frame, HypothesisSet, MassFunction
@@ -79,17 +81,9 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
                 valid, value = False, inf if value > 0 else -inf
             if not valid:
                 raise InvalidValue(f"rule {id!r}: {name} must be finite and >= 0, got {value!r}")
-        # Converted, summed, judged and rescaled as the rule's mass function
-        # converts, sums, judges and rescales them.
-        floats = [float(m) if m > 0.0 else 0.0 for m in masses]
-        try:
-            total = fsum(floats)
-        except OverflowError:  # finite masses, infinite sum: not normalized
-            total = inf
-        if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
+        total, floats = normalize([float(m) if m > 0.0 else 0.0 for m in masses])
+        if floats is None:
             raise InvalidValue(f"rule {id!r}: masses sum to {total!r}, expected 1")
-        if total != 1.0:
-            floats = rescale_exact(floats, total)
         return tuple.__new__(cls, (id, *floats, description))
 
     # What _replace builds with, so that it checks what the constructor checks.
@@ -195,6 +189,8 @@ class Transaction(namedtuple("Transaction", "id triggered payload")):
 
     A rule id triggered more than once counts once: ``triggered`` keeps the
     first occurrence of each id, in trigger order, also under ``_replace``.
+    A string is one id, not a collection of them, so ``triggered`` may not
+    be a ``str`` or ``bytes``.
     """
 
     __slots__ = ()
@@ -202,6 +198,11 @@ class Transaction(namedtuple("Transaction", "id triggered payload")):
     def __new__(
         cls, id: str, triggered: Iterable[str] = (), payload: Mapping | None = None
     ) -> Transaction:
+        if isinstance(triggered, (str, bytes)):
+            raise InvalidValue(
+                f"transaction {id!r}: triggered must be a collection of rule ids,"
+                f" got {triggered!r}"
+            )
         triggered = tuple(triggered)
         if len(set(triggered)) < len(triggered):
             triggered = tuple(dict.fromkeys(triggered))

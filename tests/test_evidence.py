@@ -84,6 +84,8 @@ class TestMassConstruction:
     def test_not_normalized(self):
         with pytest.raises(NotNormalized):
             MassFunction(BINARY, [(FRAUD, 0.6), (GENUINE, 0.5)])
+        with pytest.raises(NotNormalized, match=r"^masses sum to inf, expected 1 within 1e-09$"):
+            MassFunction(BINARY, [(FRAUD, 1e308), (GENUINE, 1e308)])
 
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):

@@ -309,6 +309,12 @@ class TestModelFile:
         assert loaded == model
         assert posterior(loaded, {"E1", "E2"}) == posterior(model, {"E1", "E2"})
 
+    def test_leading_byte_order_mark_is_skipped(self, history_csv, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(fit(load_history_csv(history_csv)), path)
+        marked = write_with_byte_order_mark(path)
+        assert load_model(marked) == load_model(path)
+
     def test_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format": "something-else"}), encoding="utf-8")
@@ -365,6 +371,14 @@ def test_model_file_message(tmp_path, likelihoods, message):
     with pytest.raises(ParseError) as info:
         load_model(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def write_with_byte_order_mark(path):
+    """A copy of the file at ``path`` beside it, starting with a UTF-8 byte
+    order mark, as Excel and some Windows editors write."""
+    marked = path.with_name("marked-" + path.name)
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return marked
 
 
 def write_config(tmp_path, document, name="rules.json"):
@@ -475,6 +489,11 @@ class TestRuleConfig:
         assert ruleset.rules["R1"].m_fraud == pytest.approx(0.75)
         assert ruleset.rules["R2"].m_uncertain == 0.5
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = write_config(tmp_path, {"combiner": "ds-paper", "rules": BASIC_RULES})
+        marked = write_with_byte_order_mark(path)
+        assert load_rule_config(marked) == load_rule_config(path)
+
     def test_ds_paper_mode(self, tmp_path):
         path = write_config(
             tmp_path, {"combiner": "ds-paper", "threshold": 0.6, "rules": BASIC_RULES}
@@ -563,6 +582,23 @@ class TestBatchFile:
         assert batch[0].payload is None
         # unknown fields fold into the payload next to the explicit one
         assert batch[1].payload == {"channel": "web", "amount": 12.5}
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        path.write_text(
+            '{"id": "t1", "triggered": ["R1"]}\n{"id": "t2", "amount": 3}\n', encoding="utf-8"
+        )
+        marked = write_with_byte_order_mark(path)
+        assert load_batch(marked) == load_batch(path)
+
+    def test_byte_order_mark_on_a_later_line_names_it(self, tmp_path):
+        path = tmp_path / "batch.jsonl"
+        path.write_text('{"id": "t1"}\n\ufeff{"id": "t2"}\n', encoding="utf-8-sig")
+        with pytest.raises(ParseError) as info:
+            load_batch(path)
+        assert str(info.value) == (
+            f"{path}:2: invalid record: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        )
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "batch.jsonl"

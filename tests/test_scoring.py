@@ -452,6 +452,16 @@ class TestTupleRecords:
         assert type(txn) is Transaction
         assert txn.triggered == ("b", "a")
 
+    @pytest.mark.parametrize("triggered", ["R1", "", b"R1"], ids=["str", "empty", "bytes"])
+    def test_a_string_is_not_a_list_of_triggers(self, triggered):
+        message = f"transaction 't': triggered must be a collection of rule ids, got {triggered!r}"
+        with pytest.raises(InvalidValue) as info:
+            Transaction("t", triggered)
+        assert str(info.value) == message
+        with pytest.raises(InvalidValue) as info:
+            Transaction("t", ["R1"])._replace(triggered=triggered)
+        assert str(info.value) == message
+
     def test_records_survive_a_pickle_round_trip(self):
         txn = Transaction("t", ["a", "b"], {"amount": 3})
         ranked = rank([report("t", 0.2, 0.4)._replace(payload={"amount": 3})])[0]
@@ -599,6 +609,7 @@ class TestRuleSet:
     @example(masses=(0.4, 0.4, 0.20000000069999996))
     @example(masses=(0.4, 0.20000000069999996, 0.4))
     @example(masses=(0.20000000069999996, 0.4, 0.4))
+    @example(masses=(0.0, 0.5, 0.50000000069999996))
     @given(masses=rule_masses())
     def test_compiled_triple_is_mass_triple_bit_for_bit(self, masses):
         expected = scoring.mass_triple(*masses)
