@@ -25,11 +25,11 @@ _EXPORTS = {
     "combine_pair": "combination",
     "conflict": "combination",
     "BeliefInterval": "evidence",
+    "FRAUD_FRAME": "evidence",
     "Frame": "evidence",
     "HypothesisSet": "evidence",
     "MassFunction": "evidence",
     "CombinationMode": "kernel",
-    "FRAUD_FRAME": "scoring",
     "BayesCombiner": "scoring",
     "ClassificationFlags": "scoring",
     "DempsterCombiner": "scoring",

@@ -55,13 +55,17 @@ class LabeledHistory(namedtuple("LabeledHistory", "total fraud_count evidence"))
     def __new__(
         cls, total: int, fraud_count: int, evidence: Mapping[str, EvidenceCounts]
     ) -> LabeledHistory:
+        _check_count("total", total)
         if total < 1:
             raise EmptyHistory("history contains no transactions")
+        _check_count("fraud_count", fraud_count)
         if not 0 <= fraud_count <= total:
             raise InvalidValue(f"fraud_count {fraud_count} out of range for total {total}")
         genuine_count = total - fraud_count
         evidence = {eid: EvidenceCounts(*counts) for eid, counts in dict(evidence).items()}
         for eid, counts in evidence.items():
+            for field, count in zip(EvidenceCounts._fields, counts):
+                _check_count(f"evidence {eid!r}: {field} count", count)
             if counts.fraud < 0 or counts.genuine < 0:
                 raise InvalidValue(f"evidence {eid!r} has negative counts")
             if counts.fraud > fraud_count:
@@ -81,6 +85,12 @@ class LabeledHistory(namedtuple("LabeledHistory", "total fraud_count evidence"))
     @property
     def genuine_count(self) -> int:
         return self.total - self.fraud_count
+
+
+def _check_count(name: str, count: object) -> None:
+    """Raise InvalidValue unless ``count`` is an int; a bool is not a count."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise InvalidValue(f"{name} must be an int, got {count!r}")
 
 
 class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods smoothing")):
@@ -126,7 +136,7 @@ def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:
     class that never occurs leaves the likelihoods undefined, so both classes
     must be present.
     """
-    smoothing = check_smoothing(float(smoothing))
+    smoothing = float(check_smoothing(smoothing))
     frauds = history.fraud_count
     genuines = history.genuine_count
     if smoothing == 0.0 and (frauds == 0 or genuines == 0):
@@ -154,7 +164,11 @@ def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:
 
 def check_smoothing(smoothing: float) -> float:
     """Return ``smoothing`` if it is finite and >= 0, else raise InvalidValue."""
-    if not (math.isfinite(smoothing) and smoothing >= 0.0):
+    try:
+        valid = math.isfinite(smoothing) and smoothing >= 0.0
+    except OverflowError:  # an int too large for a float
+        valid, smoothing = False, math.inf
+    if not valid:
         raise InvalidValue(f"smoothing must be finite and >= 0, got {smoothing!r}")
     return smoothing
 

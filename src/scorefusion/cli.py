@@ -30,7 +30,6 @@ from .scoring import (
     RuleSet,
     ScoreReport,
     SideRow,
-    mass_triple,
     score_batch,
 )
 
@@ -367,6 +366,8 @@ def _parse_mass_flag(text: str) -> tuple[float, float, float]:
             raise ParseError(f"--mass {text!r}: {raw.strip()!r} is not a number") from None
     if "f" not in values or "g" not in values:
         raise ParseError(f"--mass {text!r}: both f=<x> and g=<y> are required")
+    from .evidence import mass_triple
+
     try:
         return mass_triple(values["f"], values["g"], values.get("u", 0.0))
     except FusionError as exc:

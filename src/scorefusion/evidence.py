@@ -89,6 +89,8 @@ class HypothesisSet(namedtuple("HypothesisSet", "frame mask")):
     __slots__ = ()
 
     def __new__(cls, frame: Frame, mask: int) -> HypothesisSet:
+        if not isinstance(mask, int):
+            raise InvalidValue(f"mask must be an int, got {mask!r}")
         if not 0 <= mask < (1 << frame.size):
             raise InvalidValue(f"mask {mask:#x} does not fit a frame of {frame.size}")
         return tuple.__new__(cls, (frame, mask))
@@ -249,3 +251,21 @@ class MassFunction:
         body = ", ".join(f"{h!r}: {v!r}" for h, v in self._masses.items())
         return f"MassFunction({{{body}}})"
 
+
+# The binary frame that fraud scoring fuses over, and its fraud, genuine and
+# either sets: the sets a mass triple's values go on, in order.
+FRAUD_FRAME = Frame(("fraud", "genuine"))
+_TRIPLE_SETS = (*map(FRAUD_FRAME.singleton, FRAUD_FRAME.labels), FRAUD_FRAME.omega)
+
+
+def fraud_mass(fraud: float, genuine: float, either: float) -> MassFunction:
+    """FRAUD_FRAME's mass function with these masses on its three sets."""
+    return MassFunction(FRAUD_FRAME, zip(_TRIPLE_SETS, (fraud, genuine, either)))
+
+
+def mass_triple(fraud: float, genuine: float, either: float) -> tuple[float, float, float]:
+    """The masses as FRAUD_FRAME's mass function stores them: validated, and
+    rescaled to sum to exactly 1. How ``combine`` reads a source, and the
+    reference a rule's compiled triple is pinned to; raises the mass
+    function's FusionError."""
+    return tuple(map(fraud_mass(fraud, genuine, either).mass, _TRIPLE_SETS))

@@ -5,7 +5,6 @@ classify against a threshold, and rank the batch.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
 from math import inf, isfinite
 from typing import TYPE_CHECKING
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
@@ -20,30 +19,19 @@ from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary  # 
 from .kernel import normalize
 
 if TYPE_CHECKING:
-    from .evidence import Frame, HypothesisSet, MassFunction
+    from .evidence import MassFunction
 
 
 def __getattr__(name: str) -> object:
-    """FRAUD_FRAME and combine_all, on first use. Scoring folds compiled
-    triples, so a process that only scores or fits never imports
-    ``evidence`` or ``combination``."""
-    if name == "FRAUD_FRAME":
-        value: object = _frame_sets()[0]
-    elif name == "combine_all":
-        from .combination import combine_all as value
-    else:
+    """combine_all, on first use, for bench/tracing.py, its only reader.
+    Scoring folds compiled triples, so a process that only scores or fits
+    never imports ``combination``."""
+    if name != "combine_all":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+    from .combination import combine_all
 
-
-@cache
-def _frame_sets() -> tuple[Frame, HypothesisSet, HypothesisSet, HypothesisSet]:
-    """FRAUD_FRAME and its fraud, genuine and either sets, built on first use."""
-    from .evidence import Frame
-
-    frame = Frame(("fraud", "genuine"))
-    return frame, frame.singleton("fraud"), frame.singleton("genuine"), frame.omega
+    globals()[name] = combine_all
+    return combine_all
 
 
 # A Dempster combiner's name in a rule config and a report header, per mode.
@@ -56,9 +44,9 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
     The masses can be given directly, or derived from an expert score p and
     an uncertainty u via :meth:`from_score`: p(1-u) goes to fraud, (1-p)(1-u)
     to genuine, and u stays on the full set. They are stored as the rule's
-    mass function stores them, the :func:`mass_triple` of the given ones:
-    each a float, a zero as 0.0, and a total within the tolerance of 1 but
-    not exactly 1 rescaled to exactly 1. A RuleSet's ``triples`` reads them.
+    mass function stores them: each a float, a zero as 0.0, and a total
+    within the tolerance of 1 but not exactly 1 rescaled to exactly 1. A
+    RuleSet's ``triples`` reads them.
     """
 
     __slots__ = ()
@@ -107,7 +95,9 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
         return cls(rule_id, score * certain, (1.0 - score) * certain, uncertainty, description)
 
     def to_mass(self) -> MassFunction:
-        return _mass_function(self.m_fraud, self.m_genuine, self.m_uncertain)
+        from .evidence import fraud_mass
+
+        return fraud_mass(self.m_fraud, self.m_genuine, self.m_uncertain)
 
 
 class DempsterCombiner(NamedTuple):
@@ -134,11 +124,11 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
     """Immutable scoring configuration: rules, combiner choice, threshold.
 
     Only the table the combiner folds is compiled; the other is empty. Under
-    a Dempster combiner, ``triples`` holds each rule's stored masses, its
-    :func:`mass_triple` bit for bit, for the closed-form fold. Under a Bayes
-    combiner, ``pairs`` holds the model's (p_given_fraud, p_given_genuine)
-    for each rule the model knows, for the rescaled posterior product. Both are compiled from
-    the other fields, also under ``_replace``, and never passed in. A
+    a Dempster combiner, ``triples`` holds each rule's stored masses for
+    the closed-form fold. Under a Bayes combiner, ``pairs`` holds the
+    model's (p_given_fraud, p_given_genuine) for each rule the model knows,
+    for the rescaled posterior product. Both are compiled from the other
+    fields, also under ``_replace``, and never passed in. A
     threshold of -0.0 is stored as 0.0, so that no report prints its sign.
     """
 
@@ -324,8 +314,6 @@ def score_batch(
         except FusionError as exc:
             side.append((txn, "error", type(exc).__name__))
             continue
-        if bel > pl:
-            classify(bel, pl, threshold)  # raises
         rows.append((-bel, -pl, txn.id, len(rows), discarded, n_sources, txn.payload))
     rows.sort()
     # Each row is replaced by its report, so the two lists never coexist.
@@ -384,23 +372,6 @@ def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float
         return bel, pl, discarded, len(sources)
 
     return fold_dempster
-
-
-def mass_triple(fraud: float, genuine: float, either: float) -> tuple[float, float, float]:
-    """The masses as FRAUD_FRAME's mass function stores them: validated, and
-    rescaled to sum to exactly 1. How ``combine`` reads a source, and the
-    reference a rule's compiled triple is pinned to; raises the mass
-    function's FusionError."""
-    _, fraud_set, genuine_set, either_set = _frame_sets()
-    m = _mass_function(fraud, genuine, either)
-    return m.mass(fraud_set), m.mass(genuine_set), m.mass(either_set)
-
-
-def _mass_function(fraud: float, genuine: float, either: float) -> MassFunction:
-    from .evidence import MassFunction
-
-    frame, fraud_set, genuine_set, either_set = _frame_sets()
-    return MassFunction(frame, [(fraud_set, fraud), (genuine_set, genuine), (either_set, either)])
 
 
 _T = TypeVar("_T")

@@ -20,6 +20,7 @@ from scorefusion import (
 from scorefusion.errors import (
     DegenerateClass,
     EmptyHistory,
+    InvalidValue,
     NoEvidence,
     NonPositiveLikelihood,
     UnknownEvidence,
@@ -59,6 +60,26 @@ class TestLabeledHistory:
             LabeledHistory(total=10, fraud_count=2, evidence={"E1": (3, 0)})
         with pytest.raises(ValueError):
             LabeledHistory(total=10, fraud_count=2, evidence={"E1": (0, 9)})
+        with pytest.raises(ValueError, match="evidence 'E1' has negative counts"):
+            LabeledHistory(total=10, fraud_count=2, evidence={"E1": (0, -1)})
+
+    @pytest.mark.parametrize(
+        "total, fraud_count, evidence, message",
+        [
+            (3, 1, {"e": (math.nan, 1)}, "evidence 'e': fraud count must be an int, got nan"),
+            (3, 1, {"e": (0, 1.0)}, "evidence 'e': genuine count must be an int, got 1.0"),
+            (math.inf, 0, {}, "total must be an int, got inf"),
+            (2.5, 1, {}, "total must be an int, got 2.5"),
+            (True, 0, {}, "total must be an int, got True"),
+            (3, 0.5, {}, "fraud_count must be an int, got 0.5"),
+            (3, True, {}, "fraud_count must be an int, got True"),
+            (3, -0.0, {}, "fraud_count must be an int, got -0.0"),
+        ],
+    )
+    def test_counts_must_be_ints(self, total, fraud_count, evidence, message):
+        with pytest.raises(InvalidValue) as info:
+            LabeledHistory(total, fraud_count, evidence)
+        assert str(info.value) == message
 
 
 class TestFit:

@@ -4,6 +4,7 @@ import pytest
 
 from scorefusion import CombinationMode, Frame, MassFunction, combine_all, combine_pair, conflict
 from scorefusion.errors import EmptyInput, FrameMismatch, ModeUnsupported, TotalConflict
+from scorefusion.kernel import combine_binary
 
 from oracles import brute_combine, exact_binary_fold, exact_binary_pair
 
@@ -165,6 +166,8 @@ class TestCombineAll:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             combine_all([])
+        with pytest.raises(EmptyInput):
+            combine_binary([])
 
     def test_total_conflict_at_any_step(self):
         with pytest.raises(TotalConflict):

@@ -4,11 +4,27 @@ names each location once."""
 import ast
 import builtins
 import json
+import math
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 
-from scorefusion import errors
+import scorefusion
+from scorefusion import (
+    BayesModel,
+    BeliefInterval,
+    DempsterCombiner,
+    Frame,
+    HypothesisSet,
+    LabeledHistory,
+    MassFunction,
+    RuleSet,
+    RuleSpec,
+    classify,
+    errors,
+    fit,
+)
 from scorefusion.cli import main
 
 SOURCES = sorted(Path(errors.__file__).parent.glob("*.py"))
@@ -204,3 +220,76 @@ def test_file_is_named_once(capsys, tmp_path, monkeypatch, argv, message):
     status = main(argv)
     captured = capsys.readouterr()
     assert (status, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+FRAME = Frame(("fraud", "genuine"))
+LIKELIHOODS = {"E": (0.6, 0.2)}
+
+# Each export that takes a number, called with x for one numeric argument
+# and valid values for the rest.
+NUMERIC_ARGUMENTS = {
+    "BayesModel.prior_fraud": lambda x: BayesModel(x, 0.7, LIKELIHOODS),
+    "BayesModel.prior_genuine": lambda x: BayesModel(0.3, x, LIKELIHOODS),
+    "BayesModel.p_given_fraud": lambda x: BayesModel(0.3, 0.7, {"E": (x, 0.2)}),
+    "BayesModel.p_given_genuine": lambda x: BayesModel(0.3, 0.7, {"E": (0.6, x)}),
+    "BayesModel.smoothing": lambda x: BayesModel(0.3, 0.7, LIKELIHOODS, x),
+    "BeliefInterval.bel": lambda x: BeliefInterval(x, 1.0),
+    "BeliefInterval.pl": lambda x: BeliefInterval(0.0, x),
+    "HypothesisSet.mask": lambda x: HypothesisSet(FRAME, x),
+    "LabeledHistory.total": lambda x: LabeledHistory(x, 0, {}),
+    "LabeledHistory.fraud_count": lambda x: LabeledHistory(10, x, {}),
+    "LabeledHistory.evidence_fraud": lambda x: LabeledHistory(10, 3, {"E": (x, 1)}),
+    "LabeledHistory.evidence_genuine": lambda x: LabeledHistory(10, 3, {"E": (2, x)}),
+    "MassFunction.mass": lambda x: MassFunction(FRAME, {FRAME.omega: x}),
+    "RuleSet.threshold": lambda x: RuleSet({}, DempsterCombiner(), x),
+    "RuleSpec.m_fraud": lambda x: RuleSpec("R", x, 0.5, 0.5),
+    "RuleSpec.m_genuine": lambda x: RuleSpec("R", 0.5, x, 0.5),
+    "RuleSpec.m_uncertain": lambda x: RuleSpec("R", 0.5, 0.5, x),
+    "RuleSpec.from_score.score": lambda x: RuleSpec.from_score("R", x, 0.2),
+    "RuleSpec.from_score.uncertainty": lambda x: RuleSpec.from_score("R", 0.7, x),
+    "classify.bel_fraud": lambda x: classify(x, 1.0, 0.5),
+    "classify.pl_fraud": lambda x: classify(0.0, x, 0.5),
+    "classify.threshold": lambda x: classify(0.2, 0.7, x),
+    "fit.smoothing": lambda x: fit(LabeledHistory(10, 3, {"E": (2, 1)}), x),
+}
+
+# The exports that take no number, or are plain records that check none:
+# their numbers come from a checked export or are its results.
+NO_NUMERIC_ARGUMENT = {
+    "BayesCombiner", "ClassificationFlags", "CombinationMode", "CombinationResult",
+    "DempsterCombiner", "EvidenceCounts", "FRAUD_FRAME", "Frame", "Likelihood", "Posterior",
+    "ScoreReport", "Transaction", "combine_all", "combine_pair", "conflict", "masses_for",
+    "posterior", "posterior_log", "rank", "score", "score_batch",
+}
+
+
+def numbers_in(value):
+    """Every number a result holds, through records, mappings and masses."""
+    if isinstance(value, (int, float)):
+        yield value
+    elif isinstance(value, MassFunction):
+        yield from numbers_in(value.focal())
+    elif isinstance(value, Mapping):
+        yield from numbers_in(tuple(value.values()))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from numbers_in(item)
+
+
+def test_every_export_is_classified_by_its_numeric_arguments():
+    covered = {name.partition(".")[0] for name in NUMERIC_ARGUMENTS}
+    assert covered | NO_NUMERIC_ARGUMENT == set(scorefusion.__all__)
+
+
+@pytest.mark.parametrize("argument", NUMERIC_ARGUMENTS)
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, 10**400, True],
+    ids=["nan", "inf", "-inf", "big", "bool"],
+)
+def test_a_bad_number_is_rejected_or_gives_finite_numbers(argument, bad):
+    try:
+        result = NUMERIC_ARGUMENTS[argument](bad)
+    except errors.FusionError:
+        return
+    assert all(not isinstance(n, float) or math.isfinite(n) for n in numbers_in(result))

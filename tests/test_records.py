@@ -94,6 +94,10 @@ BAD_CHANGES = {
         HISTORY, {"total": 0}, EmptyHistory,
         "history contains no transactions",
     ),
+    "LabeledHistory-type": (
+        HISTORY, {"total": 2.5}, InvalidValue,
+        "total must be an int, got 2.5",
+    ),
     "LabeledHistory-counts": (
         HISTORY, {"fraud_count": 0}, InvalidValue,
         "evidence 'E1': 2 fraud triggers exceed 0 frauds",
