@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveLikelihood,
     UnknownEvidence,
     ZeroMarginal,
+    printable,
 )
 
 # posterior_binary multiplies a running product by 2**_RESCALE_EXP once it
@@ -60,9 +61,13 @@ class LabeledHistory(namedtuple("LabeledHistory", "total fraud_count evidence"))
             raise EmptyHistory("history contains no transactions")
         _check_count("fraud_count", fraud_count)
         if not 0 <= fraud_count <= total:
-            raise InvalidValue(f"fraud_count {fraud_count} out of range for total {total}")
+            raise InvalidValue(
+                f"fraud_count {printable(fraud_count)} out of range for total {printable(total)}"
+            )
         genuine_count = total - fraud_count
-        evidence = {eid: EvidenceCounts(*counts) for eid, counts in dict(evidence).items()}
+        evidence = {
+            eid: _pair(EvidenceCounts, eid, counts) for eid, counts in dict(evidence).items()
+        }
         for eid, counts in evidence.items():
             for field, count in zip(EvidenceCounts._fields, counts):
                 _check_count(f"evidence {eid!r}: {field} count", count)
@@ -70,12 +75,13 @@ class LabeledHistory(namedtuple("LabeledHistory", "total fraud_count evidence"))
                 raise InvalidValue(f"evidence {eid!r} has negative counts")
             if counts.fraud > fraud_count:
                 raise InvalidValue(
-                    f"evidence {eid!r}: {counts.fraud} fraud triggers exceed {fraud_count} frauds"
+                    f"evidence {eid!r}: {printable(counts.fraud)} fraud triggers exceed "
+                    f"{printable(fraud_count)} frauds"
                 )
             if counts.genuine > genuine_count:
                 raise InvalidValue(
-                    f"evidence {eid!r}: {counts.genuine} genuine triggers exceed "
-                    f"{genuine_count} genuines"
+                    f"evidence {eid!r}: {printable(counts.genuine)} genuine triggers exceed "
+                    f"{printable(genuine_count)} genuines"
                 )
         return tuple.__new__(cls, (total, fraud_count, evidence))
 
@@ -85,6 +91,16 @@ class LabeledHistory(namedtuple("LabeledHistory", "total fraud_count evidence"))
     @property
     def genuine_count(self) -> int:
         return self.total - self.fraud_count
+
+
+def _pair(record: type, eid: str, values: Iterable) -> tuple:
+    """``record(*values)``, or InvalidValue naming the evidence entry when
+    ``values`` is not one value for each of the record's two fields."""
+    try:
+        return record(*values)
+    except TypeError:  # too few or too many values, or not a collection
+        fields = ", ".join(record._fields)
+        raise InvalidValue(f"evidence {eid!r} must be a ({fields}) pair") from None
 
 
 def _check_count(name: str, count: object) -> None:
@@ -108,13 +124,16 @@ class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods
         check_smoothing(smoothing)
         for name, prior in (("prior_fraud", prior_fraud), ("prior_genuine", prior_genuine)):
             if not 0.0 <= prior <= 1.0:
-                raise InvalidValue(f"{name} {prior!r} outside [0, 1]")
+                raise InvalidValue(f"{name} {printable(prior)!r} outside [0, 1]")
         if abs(prior_fraud + prior_genuine - 1.0) > 1e-12:
             raise InvalidValue(f"priors {prior_fraud!r} + {prior_genuine!r} do not sum to 1")
-        likelihoods = {eid: Likelihood(*pair) for eid, pair in dict(likelihoods).items()}
+        likelihoods = {
+            eid: _pair(Likelihood, eid, pair) for eid, pair in dict(likelihoods).items()
+        }
         for eid, pair in likelihoods.items():
             if not (0.0 <= pair.p_given_fraud <= 1.0 and 0.0 <= pair.p_given_genuine <= 1.0):
-                raise InvalidValue(f"evidence {eid!r} likelihoods {pair} outside [0, 1]")
+                shown = Likelihood(*map(printable, pair))
+                raise InvalidValue(f"evidence {eid!r} likelihoods {shown} outside [0, 1]")
         return tuple.__new__(cls, (prior_fraud, prior_genuine, likelihoods, smoothing))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -167,7 +186,7 @@ def check_smoothing(smoothing: float) -> float:
     try:
         valid = math.isfinite(smoothing) and smoothing >= 0.0
     except OverflowError:  # an int too large for a float
-        valid, smoothing = False, math.inf
+        valid, smoothing = False, printable(smoothing)
     if not valid:
         raise InvalidValue(f"smoothing must be finite and >= 0, got {smoothing!r}")
     return smoothing

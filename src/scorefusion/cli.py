@@ -13,16 +13,12 @@ import csv
 import json
 import os
 import sys
+from contextlib import closing
 from typing import Sequence
 
 from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
 from .errors import DegenerateClass, FusionError, ParseError, TotalConflict
-from .fileio import (
-    load_batch,
-    load_history_csv,
-    load_rule_config,
-    save_model,
-)
+from .fileio import _read_batch, load_history_csv, load_rule_config, save_model
 from .kernel import combine_binary
 from .scoring import (
     DEMPSTER_MODES,
@@ -33,8 +29,9 @@ from .scoring import (
     score_batch,
 )
 
-# score and rank are no longer called here, but they stay module attributes
-# beside load_batch and load_rule_config: bench/tracing.py wraps them by name.
+# load_batch, score and rank are no longer called here, but they stay module
+# attributes beside load_rule_config: bench/tracing.py wraps them by name.
+from .fileio import load_batch  # noqa: F401
 from .scoring import rank, score  # noqa: F401
 
 # --mode standard|paper names the Dempster combiner ds-standard|ds-paper.
@@ -192,7 +189,11 @@ def _print_fit_summary(history: LabeledHistory, model: BayesModel, out_path: str
 
 def cmd_score(args: argparse.Namespace) -> int:
     ruleset = _apply_overrides(load_rule_config(args.config), args)
-    ranked, side = score_batch(ruleset, load_batch(args.batch))
+    # Each line is scored as it is read. Only jsonl prints a payload, so only
+    # jsonl keeps one, as its encoded text.
+    keep = json.dumps if args.output == "jsonl" else (lambda payload: None)
+    with closing(_read_batch(args.batch, keep)) as transactions:
+        ranked, side = score_batch(ruleset, transactions)
     emit = {"table": _emit_table, "csv": _emit_csv, "jsonl": _emit_jsonl}[args.output]
     emit(ranked, side, ruleset.combiner.name, ruleset.threshold)
     return 0 if ranked else 1
@@ -307,16 +308,18 @@ def _emit_jsonl(
             "confirmed": r.confirmed,
             "status": "scored",
         }
-        if r.payload:
-            record["payload"] = r.payload
-        print(json.dumps(record))
+        line = json.dumps(record)
+        if r.payload:  # its JSON text, spliced in as the last field
+            line = f'{line[:-1]}, "payload": {r.payload}}}'
+        print(line)
     for txn, status, error_name in side:
         record = {"id": txn.id, "n_sources": len(txn.triggered), "status": status}
         if error_name is not None:
             record["error"] = error_name
+        line = json.dumps(record)
         if txn.payload:
-            record["payload"] = txn.payload
-        print(json.dumps(record))
+            line = f'{line[:-1]}, "payload": {txn.payload}}}'
+        print(line)
 
 
 def _yesno(flag: bool) -> str:

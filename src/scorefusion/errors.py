@@ -79,3 +79,16 @@ class NoEvidence(FusionError):
 
 class ParseError(FusionError):
     """An input file or flag could not be parsed; the message names the location."""
+
+
+def printable(value: object) -> object:
+    """``value`` as an error message prints it: an int too large for a float
+    becomes ``inf`` or ``-inf``, as RuleSpec and MassFunction print one,
+    because ``repr`` of an int past Python's 4300-digit limit raises
+    ValueError. Anything else is returned as is."""
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return float("inf") if value > 0 else float("-inf")
+    return value

@@ -19,6 +19,7 @@ from .errors import (
     NegativeMass,
     NonFiniteMass,
     NotNormalized,
+    printable,
 )
 from .kernel import NORMALIZATION_TOLERANCE, normalize
 
@@ -132,7 +133,9 @@ class BeliefInterval(namedtuple("BeliefInterval", "bel pl")):
 
     def __new__(cls, bel: float, pl: float) -> BeliefInterval:
         if not 0.0 <= bel <= pl <= 1.0:
-            raise InvalidValue(f"invalid belief interval [{bel!r}, {pl!r}]")
+            raise InvalidValue(
+                f"invalid belief interval [{printable(bel)!r}, {printable(pl)!r}]"
+            )
         return tuple.__new__(cls, (bel, pl))
 
     _make = classmethod(lambda cls, fields: cls(*fields))

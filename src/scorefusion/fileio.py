@@ -14,7 +14,7 @@ import json
 import math
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import IO, Any, Callable, Iterator
 
 from .bayes import BayesModel, LabeledHistory
 from .errors import EmptyHistory, FusionError, ParseError
@@ -233,7 +233,18 @@ def load_batch(path: str | Path) -> list[Transaction]:
     across consecutive lines whose payloads have the same keys in the same
     order; the scanner makes fresh strings on every line.
     """
-    transactions: list[Transaction] = []
+    return list(_read_batch(path, None))
+
+
+def _read_batch(
+    path: str | Path, keep: Callable[[dict], Any] | None
+) -> Iterator[Transaction]:
+    """A batch's transactions, one line at a time, as :func:`load_batch`
+    parses them. Each non-empty payload is ``keep(payload)``, such as its
+    ``json.dumps`` text, or the dict itself when ``keep`` is None.
+
+    The batch file stays open until the generator is exhausted or closed.
+    """
     seen: set[str] = set()
     rule_ids: dict[str, str] = {}  # each id seen, mapped to its first copy
     shared_id = rule_ids.__getitem__
@@ -290,14 +301,14 @@ def load_batch(path: str | Path) -> list[Transaction]:
                 del record["id"]
                 record.pop("triggered", None)
                 payload.update(record)  # the extra fields, in line order
-                keys = tuple(payload)
-                if keys == shape:  # refill the previous line's keys
+                if keep is not None:
+                    payload = keep(payload) if payload else None
+                elif (keys := tuple(payload)) == shape:  # refill the previous line's keys
                     payload, filled = template.copy(), payload
                     payload.update(filled)
                 else:
                     shape, template = keys, dict.fromkeys(keys)
-            transactions.append(Transaction(txn_id, triggered, payload or None))
-    return transactions
+            yield Transaction(txn_id, triggered, payload or None)
 
 
 def _decode_line(text: str, path: Path, line_number: int) -> Any:

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, U
 # masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
 # three by name.
 from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
-from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule
+from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule, printable
 # NORMALIZATION_TOLERANCE stays a module attribute beside RuleSpec.
 from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary  # noqa: F401
 from .kernel import normalize
@@ -86,10 +86,13 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
         description: str = "",
     ) -> RuleSpec:
         if not 0.0 <= score <= 1.0:  # also rejects NaN
-            raise InvalidValue(f"rule {rule_id!r}: score must be in [0, 1], got {score!r}")
+            raise InvalidValue(
+                f"rule {rule_id!r}: score must be in [0, 1], got {printable(score)!r}"
+            )
         if not 0.0 <= uncertainty <= 1.0:
             raise InvalidValue(
-                f"rule {rule_id!r}: uncertainty must be in [0, 1], got {uncertainty!r}"
+                f"rule {rule_id!r}: uncertainty must be in [0, 1], "
+                f"got {printable(uncertainty)!r}"
             )
         certain = 1.0 - uncertainty
         return cls(rule_id, score * certain, (1.0 - score) * certain, uncertainty, description)
@@ -142,7 +145,7 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
             if rule_id != spec.id:
                 raise InvalidValue(f"rule key {rule_id!r} does not match spec id {spec.id!r}")
         if not 0.0 <= threshold <= 1.0:
-            raise InvalidValue(f"threshold must be in [0, 1], got {threshold!r}")
+            raise InvalidValue(f"threshold must be in [0, 1], got {printable(threshold)!r}")
         triples, pairs = {}, {}
         if isinstance(combiner, BayesCombiner):
             likelihoods = combiner.model.likelihoods
@@ -234,12 +237,13 @@ def classify(bel_fraud: float, pl_fraud: float, threshold: float) -> Classificat
     suspicious because bel <= pl. Raises InvalidValue unless
     0 <= bel <= pl <= 1 and 0 <= threshold <= 1, which NaN never is.
     """
-    if bel_fraud > pl_fraud:
-        raise InvalidValue(f"bel {bel_fraud!r} exceeds pl {pl_fraud!r}")
     if not 0.0 <= bel_fraud <= pl_fraud <= 1.0:
-        raise InvalidValue(f"invalid belief interval [{bel_fraud!r}, {pl_fraud!r}]")
+        bel, pl = printable(bel_fraud), printable(pl_fraud)
+        if bel_fraud > pl_fraud:
+            raise InvalidValue(f"bel {bel!r} exceeds pl {pl!r}")
+        raise InvalidValue(f"invalid belief interval [{bel!r}, {pl!r}]")
     if not 0.0 <= threshold <= 1.0:
-        raise InvalidValue(f"threshold must be in [0, 1], got {threshold!r}")
+        raise InvalidValue(f"threshold must be in [0, 1], got {printable(threshold)!r}")
     return ClassificationFlags(
         suspicious=pl_fraud > threshold, confirmed=bel_fraud > threshold
     )

@@ -81,6 +81,17 @@ class TestLabeledHistory:
             LabeledHistory(total, fraud_count, evidence)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("counts", [(1,), (1, 0, 0), 1], ids=["one", "three", "not-a-pair"])
+    def test_an_entry_must_be_a_pair(self, counts):
+        with pytest.raises(InvalidValue) as info:
+            LabeledHistory(3, 1, {"e": counts})
+        assert str(info.value) == "evidence 'e' must be a (fraud, genuine) pair"
+
+    def test_a_count_past_the_string_limit_prints_as_inf(self):
+        with pytest.raises(InvalidValue) as info:
+            LabeledHistory(3, 10**5000, {})
+        assert str(info.value) == "fraud_count inf out of range for total 3"
+
 
 class TestFit:
     def test_unsmoothed_reproduces_count_ratios(self):
@@ -123,6 +134,14 @@ class TestFit:
     def test_non_finite_smoothing_rejected(self, smoothing):
         with pytest.raises(ValueError, match="smoothing must be finite and >= 0"):
             fit(HISTORY, smoothing=smoothing)
+
+    @pytest.mark.parametrize(
+        "smoothing, shown", [(10**5000, "inf"), (-(10**400), "-inf")], ids=["huge", "negative"]
+    )
+    def test_an_int_past_the_float_range_prints_with_its_sign(self, smoothing, shown):
+        with pytest.raises(InvalidValue) as info:
+            fit(HISTORY, smoothing=smoothing)
+        assert str(info.value) == f"smoothing must be finite and >= 0, got {shown}"
 
     @pytest.mark.parametrize("smoothing", [1e308, sys.float_info.max])
     def test_smoothing_near_the_float_maximum(self, smoothing):
@@ -248,6 +267,20 @@ class TestModelValidation:
     def test_likelihoods_must_be_probabilities(self):
         with pytest.raises(ValueError):
             BayesModel(0.5, 0.5, {"E1": (1.2, 0.4)})
+
+    @pytest.mark.parametrize("pair", [(0.5,), (0.5, 0.5, 0.5), 0.5], ids=["one", "three", "float"])
+    def test_an_entry_must_be_a_pair(self, pair):
+        with pytest.raises(InvalidValue) as info:
+            BayesModel(0.3, 0.7, {"e": pair})
+        assert str(info.value) == "evidence 'e' must be a (p_given_fraud, p_given_genuine) pair"
+
+    def test_a_number_past_the_string_limit_prints_as_inf(self):
+        with pytest.raises(InvalidValue) as info:
+            BayesModel(0.3, 0.7, {"e": (10**5000, 0.5)})
+        assert str(info.value) == (
+            "evidence 'e' likelihoods Likelihood(p_given_fraud=inf, p_given_genuine=0.5) "
+            "outside [0, 1]"
+        )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_prior_or_smoothing_rejected(self, bad):

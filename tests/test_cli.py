@@ -1,11 +1,15 @@
 """End-to-end command tests through cli.main."""
 
 import csv
+import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorefusion import fit, posterior
+from scorefusion import fileio, fit, posterior, scoring
 from scorefusion.cli import _apply_overrides, build_parser, main
-from scorefusion.fileio import load_history_csv, load_model, load_rule_config
+from scorefusion.fileio import load_batch, load_history_csv, load_model, load_rule_config
+from scorefusion.kernel import combine_binary
+from scorefusion.scoring import score_batch
 
 
 def run_cli(capsys, *argv):
@@ -911,6 +917,109 @@ class TestInputBoundary:
         self.check(capsys, ["score", config, batch], path)
 
 
+class TestStreamedBatch:
+    """score reads its batch one line at a time, keeps a payload only as
+    jsonl text, and still finishes parsing before it prints anything."""
+
+    @staticmethod
+    def payload_batch(path, lines):
+        rng = random.Random(7)
+        with open(path, "w", encoding="utf-8") as handle:
+            for index in range(lines):
+                payload = {
+                    "amount": round(rng.uniform(1, 20000), 2),
+                    "currency": rng.choice(["EUR", "USD", "CHF"]),
+                    "merchant": f"m-{rng.getrandbits(24):06x}",
+                    "mcc": rng.choice([4829, 5411, 6011]),
+                    "card_bin": str(rng.randrange(400000, 560000)),
+                    "device": f"{rng.getrandbits(64):016x}",
+                    "ip": ".".join(str(rng.randrange(256)) for _ in range(4)),
+                    "ts": f"2021-03-{index % 28 + 1:02d}T16:10:44Z",
+                    "items": [rng.randrange(1000) for _ in range(rng.randrange(1, 4))],
+                    "note": "".join(rng.choice("abcdefgh ") for _ in range(40)),
+                }
+                triggered = rng.sample(["R1", "R2", "R3", "R4"], rng.randrange(3))
+                record = {"id": f"t{index}", "triggered": triggered, "payload": payload}
+                extra = {"channel": rng.choice(["pos", "web", "app"]), "seq": index}
+                handle.write(json.dumps({**record, **extra}) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("output, bound", [("jsonl", 3.0), ("csv", 1.5)])
+    def test_peak_memory_is_a_small_multiple_of_the_batch(
+        self, tmp_path, paper_mode_setup, output, bound
+    ):
+        config, _ = paper_mode_setup
+        warm_up = self.payload_batch(tmp_path / "warm-up.jsonl", 20)
+        batch = self.payload_batch(tmp_path / "payload.jsonl", 2000)
+        with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+            # What a first call allocates once, outside the measured run.
+            assert main(["score", config, warm_up, "--output", output]) == 0
+            tracemalloc.start()
+            try:
+                status = main(["score", config, batch, "--output", output])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert status == 0
+        assert peak < bound * os.path.getsize(batch)
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ('{"id": "t1", "triggered": ["R1"]}', "duplicate transaction id 't1'"),
+            ('{"id": "t4", "triggered": ["R1"]', "invalid record"),
+        ],
+        ids=["duplicate-id", "malformed"],
+    )
+    def test_a_bad_last_line_prints_nothing(
+        self, capsys, tmp_path, paper_mode_setup, last, message
+    ):
+        config, _ = paper_mode_setup
+        good = "".join(
+            json.dumps({"id": f"t{i}", "triggered": ["R1", "R2"], "n": i}) + "\n"
+            for i in range(1, 4)
+        )
+        batch = write(tmp_path / "batch.jsonl", good + last + "\n")
+        for output in ("table", "csv", "jsonl"):
+            status, out, err = run_cli(capsys, "score", config, batch, "--output", output)
+            assert (status, out) == (2, "")
+            assert err.startswith(f"error: {batch}:4: {message}")
+
+    def test_an_unexpected_fold_error_closes_the_batch(
+        self, tmp_path, paper_mode_setup, monkeypatch
+    ):
+        config, _ = paper_mode_setup
+        batch = self.payload_batch(tmp_path / "payload.jsonl", 20)
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        calls = []
+
+        def failing_fold(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("fold failed")
+            return combine_binary(*args)
+
+        monkeypatch.setattr(fileio, "open", recording_open, raising=False)
+        monkeypatch.setattr(scoring, "combine_binary", failing_fold)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for output in ("csv", "jsonl"):
+                with pytest.raises(RuntimeError, match="fold failed") as raised:
+                    main(["score", config, batch, "--output", output])
+                # Closed already, while the traceback still holds the reader.
+                assert [handle.closed for handle in opened] == [True]
+                del raised
+                opened.clear()
+                calls.clear()
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 # --- fuzz over cli.main ------------------------------------------------
 
 _RULE_IDS = ["R0", "R1", "R2"]
@@ -1102,3 +1211,95 @@ def test_every_jsonl_line_is_json(tmp_path_factory, data):
     assert status in (0, 1, 2), err
     for line in out.splitlines():
         json.loads(line, parse_constant=_no_constant)
+
+
+# JSON texts of payload values: nested containers, non-ASCII text raw and
+# escaped, lone surrogate escapes, 30-digit ints and literals that re-encode
+# differently, such as 1e-400.
+_unicode_text = st.text(st.one_of(st.characters(), st.sampled_from(["\ud800", "\udfff"])))
+_json_leaves = st.one_of(
+    st.sampled_from(["null", "true", "false", "1e-400", "-0.0", "0.10", "1E5"]),
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _unicode_text.map(json.dumps),
+    st.text().map(lambda text: json.dumps(text, ensure_ascii=False)),
+)
+
+
+def _json_object(members):
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in members.items()) + "}"
+
+
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda items: f"[{', '.join(items)}]"),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3).map(_json_object),
+    ),
+    max_leaves=8,
+)
+# Members of a batch line: none may be one of the line's own fields.
+_json_members = st.dictionaries(
+    st.text(max_size=4).filter(lambda key: key not in ("id", "triggered", "payload")),
+    _json_values,
+    max_size=3,
+)
+
+
+@st.composite
+def _batches_with_payloads(draw):
+    """Batch lines with a payload object, extra fields, both or neither;
+    some trigger nothing or an unknown rule, so they become side rows."""
+    lines = []
+    for index in range(draw(st.integers(1, 5))):
+        triggered = draw(st.lists(st.sampled_from(_RULE_IDS + ["GONE"]), max_size=3))
+        members = {"id": json.dumps(f"t{index}"), "triggered": json.dumps(triggered)}
+        payload = draw(st.one_of(st.none(), _json_members))
+        if payload is not None:
+            members["payload"] = _json_object(payload)
+        members.update(draw(_json_members))
+        lines.append(_json_object(members))
+    return "\n".join(lines) + "\n"
+
+
+def _old_jsonl(ranked, side, combiner_name, threshold):
+    """The jsonl report built as records holding each payload dict."""
+    lines = [json.dumps({"combiner": combiner_name, "threshold": threshold})]
+    for r in ranked:
+        record = {
+            "rank": r.rank, "id": r.transaction_id, "bel_fraud": r.bel_fraud,
+            "pl_fraud": r.pl_fraud, "point_estimate": r.point_estimate,
+            "conflict": r.conflict, "n_sources": r.n_sources, "suspicious": r.suspicious,
+            "confirmed": r.confirmed, "status": "scored",
+        }
+        if r.payload:
+            record["payload"] = r.payload
+        lines.append(json.dumps(record))
+    for txn, status, error_name in side:
+        record = {"id": txn.id, "n_sources": len(txn.triggered), "status": status}
+        if error_name is not None:
+            record["error"] = error_name
+        if txn.payload:
+            record["payload"] = txn.payload
+        lines.append(json.dumps(record))
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_jsonl_splices_the_payload_text_where_its_dict_would_print(tmp_path_factory, data):
+    """Each jsonl line equals json.dumps of the record that holds the payload
+    as the dict load_batch returns, for scored rows and side rows alike."""
+    work = tmp_path_factory.getbasetemp() / "splice"
+    work.mkdir(exist_ok=True)
+    write(work / "model.json", json.dumps(_MODEL))
+    combiner = data.draw(st.sampled_from(["ds-standard", "ds-paper", "bayes"]))
+    rules = [{"id": rule_id, "score": 0.6} for rule_id in _RULE_IDS]
+    document = {"combiner": combiner, "model": "model.json", "rules": rules}
+    config = write(work / "rules.json", json.dumps(document))
+    batch = write(work / "batch.jsonl", data.draw(_batches_with_payloads()))
+    status, out, err = run_main(["score", config, batch, "--output", "jsonl"])
+    ruleset = load_rule_config(config)
+    ranked, side = score_batch(ruleset, load_batch(batch))
+    assert (status, err) == (0 if ranked else 1, "")
+    assert out.splitlines() == _old_jsonl(ranked, side, combiner, ruleset.threshold)
