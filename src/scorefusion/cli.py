@@ -2,8 +2,9 @@
 combine ad-hoc masses for inspection.
 
 Exit codes: 0 success, 1 nothing scored (or total conflict in ``combine``),
-2 input or parse problem, 3 fitting failed on a degenerate history, 141
-stdout closed early (128 + SIGPIPE).
+2 input or parse problem or a stdout that cannot encode the report, 3
+fitting failed on a degenerate history, 141 stdout closed early (128 +
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 from contextlib import closing
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
@@ -49,6 +51,14 @@ _REPORT_FIELDS = (
     "confirmed",
     "status",
     "error",
+)
+
+# One scored jsonl row up to its closing brace, as json.dumps prints the
+# record: the id JSON-escaped, floats by repr, the flags as JSON literals. A
+# payload's JSON text is spliced in after it as the last field.
+_JSONL_ROW = (
+    '{"rank": %d, "id": %s, "bel_fraud": %r, "pl_fraud": %r, "point_estimate": %r, '
+    '"conflict": %r, "n_sources": %d, "suspicious": %s, "confirmed": %s, "status": "scored"'
 )
 
 
@@ -141,6 +151,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
+    except UnicodeEncodeError as exc:
+        # Files are written as UTF-8 and stderr escapes what it cannot
+        # encode, so the text that failed was bound for stdout.
+        bad = exc.object[exc.start]
+        print(f"error: stdout's encoding {exc.encoding} cannot write {bad!r}", file=sys.stderr)
+        return 2
     except (FusionError, OSError) as exc:
         named = isinstance(exc, OSError) and exc.filename is not None  # file errors end here
         print("error:", f"{exc.filename}: {exc.strerror}" if named else exc, file=sys.stderr)
@@ -233,28 +249,34 @@ def _emit_table(
     combiner_name: str,
     threshold: float,
 ) -> None:
-    print(f"combiner={combiner_name} threshold={threshold:.4f}")
-    ids = [r.transaction_id for r in ranked] + [t.id for t, _, _ in side]
-    id_width = max([len("id")] + [len(i) for i in ids])
-    header = (
+    write = sys.stdout.write
+    write(f"combiner={combiner_name} threshold={threshold:.4f}\n")
+    ids = [_table_id(r.transaction_id) for r in ranked]
+    side_ids = [_table_id(t.id) for t, _, _ in side]
+    id_width = max(map(len, ["id", *ids, *side_ids]))
+    write(
         f"{'rank':>4}  {'id':<{id_width}}  {'bel_fraud':>9}  {'pl_fraud':>9}  "
         f"{'point':>9}  {'conflict':>9}  {'n':>3}  {'suspicious':>10}  "
-        f"{'confirmed':>9}  status"
+        f"{'confirmed':>9}  status\n"
     )
-    print(header)
-    for r in ranked:
-        print(
-            f"{r.rank:>4}  {r.transaction_id:<{id_width}}  {r.bel_fraud:>9.4f}  "
-            f"{r.pl_fraud:>9.4f}  {r.point_estimate:>9.4f}  {r.conflict:>9.4f}  "
-            f"{r.n_sources:>3}  {_yesno(r.suspicious):>10}  "
-            f"{_yesno(r.confirmed):>9}  scored"
-        )
-    for txn, status, error_name in side:
+    row = f"%4d  %-{id_width}s  %9.4f  %9.4f  %9.4f  %9.4f  %3d  %10s  %9s  scored\n"
+    sys.stdout.writelines(
+        row % (r.rank, shown, r.bel_fraud, r.pl_fraud, r.point_estimate, r.conflict,
+               r.n_sources, _yesno(r.suspicious), _yesno(r.confirmed))
+        for r, shown in zip(ranked, ids)
+    )
+    for (txn, status, error_name), shown in zip(side, side_ids):
         marker = status if error_name is None else f"{status}:{error_name}"
-        print(
-            f"{'-':>4}  {txn.id:<{id_width}}  {'-':>9}  {'-':>9}  {'-':>9}  "
-            f"{'-':>9}  {len(txn.triggered):>3}  {'-':>10}  {'-':>9}  {marker}"
+        write(
+            f"{'-':>4}  {shown:<{id_width}}  {'-':>9}  {'-':>9}  {'-':>9}  "
+            f"{'-':>9}  {len(txn.triggered):>3}  {'-':>10}  {'-':>9}  {marker}\n"
         )
+
+
+def _table_id(txn_id: str) -> str:
+    """The id as a table cell: an id that would break its row (a newline, a
+    tab) prints escaped as in jsonl, without the quotes."""
+    return txn_id if txn_id.isprintable() else encode_basestring_ascii(txn_id)[1:-1]
 
 
 def _emit_csv(
@@ -294,24 +316,15 @@ def _emit_jsonl(
     combiner_name: str,
     threshold: float,
 ) -> None:
-    print(json.dumps({"combiner": combiner_name, "threshold": threshold}))
+    write = sys.stdout.write
+    write(json.dumps({"combiner": combiner_name, "threshold": threshold}) + "\n")
     for r in ranked:
-        record = {
-            "rank": r.rank,
-            "id": r.transaction_id,
-            "bel_fraud": r.bel_fraud,
-            "pl_fraud": r.pl_fraud,
-            "point_estimate": r.point_estimate,
-            "conflict": r.conflict,
-            "n_sources": r.n_sources,
-            "suspicious": r.suspicious,
-            "confirmed": r.confirmed,
-            "status": "scored",
-        }
-        line = json.dumps(record)
-        if r.payload:  # its JSON text, spliced in as the last field
-            line = f'{line[:-1]}, "payload": {r.payload}}}'
-        print(line)
+        line = _JSONL_ROW % (
+            r.rank, encode_basestring_ascii(r.transaction_id), r.bel_fraud, r.pl_fraud,
+            r.point_estimate, r.conflict, r.n_sources, _json_bool(r.suspicious),
+            _json_bool(r.confirmed),
+        )
+        write(f'{line}, "payload": {r.payload}}}\n' if r.payload else f"{line}}}\n")
     for txn, status, error_name in side:
         record = {"id": txn.id, "n_sources": len(txn.triggered), "status": status}
         if error_name is not None:
@@ -319,7 +332,7 @@ def _emit_jsonl(
         line = json.dumps(record)
         if txn.payload:
             line = f'{line[:-1]}, "payload": {txn.payload}}}'
-        print(line)
+        write(line + "\n")
 
 
 def _yesno(flag: bool) -> str:

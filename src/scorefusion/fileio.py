@@ -162,7 +162,8 @@ def save_model(model: BayesModel, path: str | Path) -> None:
             for eid, likelihood in sorted(model.likelihoods.items())
         },
     }
-    Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    with _naming(path) as path:
+        path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> BayesModel:

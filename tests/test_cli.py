@@ -35,18 +35,18 @@ def write(path, text):
     return str(path)
 
 
-def run_main(argv):
+def run_main(argv, encoding="utf-8"):
     """Run cli.main in-process without a pytest fixture, as hypothesis tests
     must; argparse's SystemExit counts as its exit code. Stdout is strict
-    UTF-8, as a real one is, so unwritable text fails here too."""
-    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    ``encoding``, as a real one is, so unwritable text fails here too."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             status = main(argv)
         except SystemExit as exc:
             status = exc.code
     out.flush()
-    return status, out.buffer.getvalue().decode("utf-8"), err.getvalue()
+    return status, out.buffer.getvalue().decode(encoding), err.getvalue()
 
 
 @pytest.fixture
@@ -284,6 +284,30 @@ class TestScore:
         status, out, err = run_cli(capsys, "score", config, batch, "--output", output)
         assert (status, err) == (0, "")
         assert out == "".join(row + "\n" for row in rows)
+
+    def test_unprintable_ids_keep_one_table_row_each(self, capsys, tmp_path, paper_mode_setup):
+        # A newline or tab would break a row or shift its columns, so such an
+        # id prints escaped as in jsonl; a printable one, non-ASCII or not,
+        # prints as it is.
+        config, _ = paper_mode_setup
+        batch = tmp_path / "ids.jsonl"
+        records = [
+            {"id": "a\nb", "triggered": ["R1", "R2"]},
+            {"id": "c\td", "triggered": ["R3", "R4"]},
+            {"id": "e\u2028f", "triggered": []},
+            {"id": "\u00e9", "triggered": []},
+        ]
+        write(batch, "".join(json.dumps(record) + "\n" for record in records))
+        status, out, err = run_cli(capsys, "score", config, str(batch))
+        assert (status, err) == (0, "")
+        header, *rows = out.splitlines()[1:]
+        assert [row.split()[1] for row in rows] == ["c\\td", "a\\nb", "e\\u2028f", "\u00e9"]
+        status_at = header.index("status")
+        for row in rows:
+            fields = row.split()
+            assert len(fields) == len(header.split())
+            assert row.index(fields[1]) == header.index("id")
+            assert row.index(fields[-1], status_at) == status_at
 
     def test_missing_config_names_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -713,16 +737,18 @@ class TestModuleEntryPoint:
         assert lines[0] == "combiner=ds-paper threshold=0.5000"
         assert len(lines) == 4 and lines[2].split()[:2] == ["1", "t-narrow"]
 
-    def test_closed_stdout_exits_141_quietly(self, tmp_path, paper_mode_setup):
+    @pytest.mark.parametrize("output", ["table", "csv", "jsonl"])
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, paper_mode_setup, output):
         # The report is far larger than a pipe buffer, so the writer is still
-        # writing when the reader goes away, as with `| head -1`.
+        # writing when the reader goes away, as with `| head -1`. Each format
+        # writes its rows through a different call.
         config, _ = paper_mode_setup
         batch = write(
             tmp_path / "big.jsonl",
             "".join(f'{{"id": "t{i}", "triggered": ["R1", "R2"]}}\n' for i in range(5000)),
         )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "scorefusion", "score", config, batch],
+            [sys.executable, "-m", "scorefusion", "score", config, batch, "--output", output],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             cwd=tmp_path,
@@ -733,7 +759,11 @@ class TestModuleEntryPoint:
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141
-        assert first == b"combiner=ds-paper threshold=0.5000\n"
+        assert first == {
+            "table": b"combiner=ds-paper threshold=0.5000\n",
+            "csv": b"# combiner=ds-paper threshold=0.5\n",
+            "jsonl": b'{"combiner": "ds-paper", "threshold": 0.5}\n',
+        }[output]
         assert err == b""
 
     @pytest.mark.parametrize("command", ["score", "fit", "combine", "help", "score-help"])
@@ -890,6 +920,29 @@ class TestInputBoundary:
         config, batch, _ = bayes_setup
         write(Path(batch), '{"id": "t1", "n": ' + "9" * 5000 + "}\n")
         self.check(capsys, ["score", config, batch], f"{batch}:1:")
+
+    @pytest.mark.parametrize("output, status", [("table", 2), ("csv", 2), ("jsonl", 0)])
+    def test_stdout_that_cannot_encode_an_id_exits_2(self, bayes_setup, output, status):
+        # jsonl escapes every non-ASCII character, so only it writes the report.
+        config, batch, _ = bayes_setup
+        write(Path(batch), '{"id": "\u00e9", "triggered": ["E1"]}\n')
+        argv = ["score", config, batch, "--output", output]
+        assert run_main(argv, encoding="ascii")[::2] == (
+            status,
+            "" if status == 0 else "error: stdout's encoding ascii cannot write '\u00e9'\n",
+        )
+
+    def test_stdout_that_cannot_encode_a_rule_id_exits_2_after_fit(self, tmp_path):
+        history = write(tmp_path / "h.csv", "txn_id,label,rule_id\nt1,fraud,R\u00e9\nt2,genuine,\n")
+        model = tmp_path / "m.json"
+        status, _, err = run_main(["fit", history, str(model)], encoding="ascii")
+        assert (status, err) == (2, "error: stdout's encoding ascii cannot write '\u00e9'\n")
+        assert "R\u00e9" in load_model(model).likelihoods
+
+    def test_model_path_the_os_cannot_encode_names_the_path(self, capsys, tmp_path, history_csv):
+        # Only main's own callers can pass such a name: a command line's
+        # undecodable bytes arrive as surrogates that encode back.
+        self.check(capsys, ["fit", str(history_csv), "m\ud800.json"], repr("m\ud800.json"))
 
     @pytest.mark.parametrize("output", ["table", "csv", "jsonl"])
     def test_lone_surrogate_id_names_line(self, capsys, bayes_setup, output):
@@ -1246,14 +1299,26 @@ _json_members = st.dictionaries(
 )
 
 
+# Transaction ids: non-ASCII and control characters, JSON escapes, csv
+# delimiters and spaces; no lone surrogate, which the loader rejects.
+_txn_ids = st.text(
+    st.one_of(
+        st.characters(exclude_categories=("Cs",)),
+        st.sampled_from(['"', "\\", ",", " ", "\n", "\t", "\x00", "\x85", "\u2028"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
 @st.composite
 def _batches_with_payloads(draw):
     """Batch lines with a payload object, extra fields, both or neither;
     some trigger nothing or an unknown rule, so they become side rows."""
     lines = []
-    for index in range(draw(st.integers(1, 5))):
+    for txn_id in draw(st.lists(_txn_ids, min_size=1, max_size=5, unique=True)):
         triggered = draw(st.lists(st.sampled_from(_RULE_IDS + ["GONE"]), max_size=3))
-        members = {"id": json.dumps(f"t{index}"), "triggered": json.dumps(triggered)}
+        members = {"id": json.dumps(txn_id), "triggered": json.dumps(triggered)}
         payload = draw(st.one_of(st.none(), _json_members))
         if payload is not None:
             members["payload"] = _json_object(payload)
@@ -1303,3 +1368,57 @@ def test_jsonl_splices_the_payload_text_where_its_dict_would_print(tmp_path_fact
     ranked, side = score_batch(ruleset, load_batch(batch))
     assert (status, err) == (0 if ranked else 1, "")
     assert out.splitlines() == _old_jsonl(ranked, side, combiner, ruleset.threshold)
+
+
+def _old_table(ranked, side, combiner_name, threshold):
+    """The table report built with f-strings and printed line by line. An id
+    that is not printable shows as its JSON string without the quotes."""
+
+    def shown(txn_id):
+        return txn_id if txn_id.isprintable() else json.dumps(txn_id)[1:-1]
+
+    def yesno(flag):
+        return "yes" if flag else "no"
+
+    lines = [f"combiner={combiner_name} threshold={threshold:.4f}"]
+    ids = [shown(r.transaction_id) for r in ranked] + [shown(t.id) for t, _, _ in side]
+    id_width = max([len("id")] + [len(i) for i in ids])
+    lines.append(
+        f"{'rank':>4}  {'id':<{id_width}}  {'bel_fraud':>9}  {'pl_fraud':>9}  "
+        f"{'point':>9}  {'conflict':>9}  {'n':>3}  {'suspicious':>10}  "
+        f"{'confirmed':>9}  status"
+    )
+    for r in ranked:
+        lines.append(
+            f"{r.rank:>4}  {shown(r.transaction_id):<{id_width}}  {r.bel_fraud:>9.4f}  "
+            f"{r.pl_fraud:>9.4f}  {r.point_estimate:>9.4f}  {r.conflict:>9.4f}  "
+            f"{r.n_sources:>3}  {yesno(r.suspicious):>10}  "
+            f"{yesno(r.confirmed):>9}  scored"
+        )
+    for txn, status, error_name in side:
+        marker = status if error_name is None else f"{status}:{error_name}"
+        lines.append(
+            f"{'-':>4}  {shown(txn.id):<{id_width}}  {'-':>9}  {'-':>9}  {'-':>9}  "
+            f"{'-':>9}  {len(txn.triggered):>3}  {'-':>10}  {'-':>9}  {marker}"
+        )
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_table_rows_match_the_f_string_table(tmp_path_factory, data):
+    """Each table line equals the line the f-string table printed, id width
+    and id escapes included, for scored rows and side rows alike."""
+    work = tmp_path_factory.getbasetemp() / "table"
+    work.mkdir(exist_ok=True)
+    write(work / "model.json", json.dumps(_MODEL))
+    combiner = data.draw(st.sampled_from(["ds-standard", "ds-paper", "bayes"]))
+    rules = [{"id": rule_id, "score": 0.6} for rule_id in _RULE_IDS]
+    document = {"combiner": combiner, "model": "model.json", "rules": rules}
+    config = write(work / "rules.json", json.dumps(document))
+    batch = write(work / "batch.jsonl", data.draw(_batches_with_payloads()))
+    status, out, err = run_main(["score", config, batch])
+    ruleset = load_rule_config(config)
+    ranked, side = score_batch(ruleset, load_batch(batch))
+    assert (status, err) == (0 if ranked else 1, "")
+    assert out.splitlines() == _old_table(ranked, side, combiner, ruleset.threshold)
