@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, Mapping, NamedTuple
+from collections.abc import Iterable, Mapping
 
 from .errors import (
     DegenerateClass,
@@ -34,18 +34,16 @@ _ZERO_MARGINAL = (
 )
 
 
-class EvidenceCounts(NamedTuple):
+class EvidenceCounts(namedtuple("EvidenceCounts", "fraud genuine")):
     """How often one evidence source fired, split by transaction label."""
 
-    fraud: int
-    genuine: int
+    __slots__ = ()
 
 
-class Likelihood(NamedTuple):
+class Likelihood(namedtuple("Likelihood", "p_given_fraud p_given_genuine")):
     """P(evidence fires | fraud) and P(evidence fires | genuine)."""
 
-    p_given_fraud: float
-    p_given_genuine: float
+    __slots__ = ()
 
 
 class LabeledHistory(namedtuple("LabeledHistory", "total fraud_count evidence")):
@@ -139,12 +137,10 @@ class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class Posterior(NamedTuple):
+class Posterior(namedtuple("Posterior", "p_fraud p_genuine marginal")):
     """Fused class probabilities plus the evidence marginal (the normalizer)."""
 
-    p_fraud: float
-    p_genuine: float
-    marginal: float
+    __slots__ = ()
 
 
 def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:

@@ -14,9 +14,9 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Sequence
 from contextlib import closing
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
 
 from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
 from .errors import DegenerateClass, FusionError, ParseError, TotalConflict

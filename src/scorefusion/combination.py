@@ -4,8 +4,9 @@ binary-frame pooling mode.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from math import fsum, prod
-from typing import Iterable, NamedTuple
 
 from .errors import EmptyInput, FrameMismatch, ModeUnsupported, TotalConflict
 from .evidence import Frame, HypothesisSet, MassFunction
@@ -15,16 +16,14 @@ from .evidence import Frame, HypothesisSet, MassFunction
 from .kernel import TOTAL_CONFLICT_LIMIT, CombinationMode, combine_binary  # noqa: F401
 
 
-class CombinationResult(NamedTuple):
+class CombinationResult(namedtuple("CombinationResult", "mass conflict step_conflicts")):
     """A fused mass plus the conflict that was discarded while fusing.
 
     ``conflict`` is the total discarded mass across the whole fold,
     1 - prod(1 - K_i); ``step_conflicts`` holds each pairwise K in fold order.
     """
 
-    mass: MassFunction
-    conflict: float
-    step_conflicts: tuple[float, ...]
+    __slots__ = ()
 
 
 def conflict(m1: MassFunction, m2: MassFunction) -> float:

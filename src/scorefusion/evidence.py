@@ -8,8 +8,8 @@ probability bounds of any hypothesis set from it.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from math import fsum, inf, isfinite
-from typing import Iterable, Mapping
 
 from .errors import (
     DuplicateSet,

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from pathlib import Path
-from typing import IO, Any, Callable, Iterator
 
 from .bayes import BayesModel, LabeledHistory
-from .errors import EmptyHistory, FusionError, ParseError
+from .errors import EmptyHistory, FusionError, ParseError, printable
 from .scoring import (
     DEMPSTER_MODES,
     BayesCombiner,
@@ -58,7 +58,7 @@ _BATCH_HOOKS = {"parse_constant": _reject_constant, "parse_float": _finite_float
 _scan_json = json.JSONDecoder(**_BATCH_HOOKS).scan_once
 
 
-def load_history_csv(path: str | Path) -> LabeledHistory:
+def load_history_csv(path: str | os.PathLike) -> LabeledHistory:
     """Aggregate a trigger-level CSV (txn_id,label,rule_id) into counts.
 
     One row per trigger; transactions without triggers appear once with an
@@ -83,7 +83,7 @@ def load_history_csv(path: str | Path) -> LabeledHistory:
 
 
 def _count_history(
-    handle: IO[str], path: Path, runs: dict[str, set[str]] | None
+    handle: Iterable[str], path: str, runs: dict[str, set[str]] | None
 ) -> tuple[dict[str, str], dict[str, list[int]]] | None:
     """Each transaction's label and each rule's [fraud, genuine] tally.
 
@@ -147,7 +147,7 @@ def _count_history(
     return labels, tallies
 
 
-def save_model(model: BayesModel, path: str | Path) -> None:
+def save_model(model: BayesModel, path: str | os.PathLike) -> None:
     """Write a fitted model as JSON; floats round-trip exactly."""
     document = {
         "format": MODEL_FORMAT,
@@ -162,11 +162,11 @@ def save_model(model: BayesModel, path: str | Path) -> None:
             for eid, likelihood in sorted(model.likelihoods.items())
         },
     }
-    with _naming(path) as path:
-        path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    with _naming(path) as path, open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(document, indent=2) + "\n")
 
 
-def load_model(path: str | Path) -> BayesModel:
+def load_model(path: str | os.PathLike) -> BayesModel:
     with _naming(path) as path:
         document = _read_json_object(path)
         if document.get("format") != MODEL_FORMAT:
@@ -186,14 +186,14 @@ def load_model(path: str | Path) -> BayesModel:
                 _number(entry, "p_given_genuine", f"{path}: likelihood {eid!r}"),
             )
         return BayesModel(
-            prior_fraud=_number(document, "prior_fraud", str(path)),
-            prior_genuine=_number(document, "prior_genuine", str(path)),
+            prior_fraud=_number(document, "prior_fraud", path),
+            prior_genuine=_number(document, "prior_genuine", path),
             likelihoods=likelihoods,
-            smoothing=_number(document, "smoothing", str(path)),
+            smoothing=_number(document, "smoothing", path),
         )
 
 
-def load_rule_config(path: str | Path) -> RuleSet:
+def load_rule_config(path: str | os.PathLike) -> RuleSet:
     """Parse a rule config into a RuleSet; a bayes combiner pulls in its model.
 
     A relative model reference is resolved against the config's directory.
@@ -204,7 +204,7 @@ def load_rule_config(path: str | Path) -> RuleSet:
         if not isinstance(frame, list) or tuple(frame) != FRAME_LABELS:
             raise ParseError(f"{path}: frame must be {list(FRAME_LABELS)}, got {frame!r}")
         combiner_name = document.get("combiner", "ds-standard")
-        threshold = _number(document, "threshold", str(path)) if "threshold" in document else 0.5
+        threshold = _number(document, "threshold", path) if "threshold" in document else 0.5
         rules_doc = document.get("rules")
         if not isinstance(rules_doc, list) or not rules_doc:
             raise ParseError(f"{path}: 'rules' must be a non-empty list")
@@ -215,17 +215,14 @@ def load_rule_config(path: str | Path) -> RuleSet:
             model_ref = document.get("model")
             if not isinstance(model_ref, str) or not model_ref:
                 raise ParseError(f"{path}: combiner 'bayes' needs a 'model' file reference")
-            model_path = Path(model_ref)
-            if not model_path.is_absolute():
-                model_path = path.parent / model_path
-            combiner = BayesCombiner(load_model(model_path))
+            combiner = BayesCombiner(load_model(os.path.join(os.path.dirname(path), model_ref)))
         else:
             names = ", ".join([*DEMPSTER_MODES, BayesCombiner.name])
             raise ParseError(f"{path}: combiner must be one of {names}; got {combiner_name!r}")
         return RuleSet.from_rules(rules, combiner, threshold)
 
 
-def load_batch(path: str | Path) -> list[Transaction]:
+def load_batch(path: str | os.PathLike) -> list[Transaction]:
     """Parse a line-delimited transaction batch.
 
     Each line is an object {id, triggered, payload?}; any unknown fields are
@@ -238,7 +235,7 @@ def load_batch(path: str | Path) -> list[Transaction]:
 
 
 def _read_batch(
-    path: str | Path, keep: Callable[[dict], Any] | None
+    path: str | os.PathLike, keep: Callable[[dict], object] | None
 ) -> Iterator[Transaction]:
     """A batch's transactions, one line at a time, as :func:`load_batch`
     parses them. Each non-empty payload is ``keep(payload)``, such as its
@@ -303,7 +300,10 @@ def _read_batch(
                 record.pop("triggered", None)
                 payload.update(record)  # the extra fields, in line order
                 if keep is not None:
-                    payload = keep(payload) if payload else None
+                    try:
+                        payload = keep(payload) if payload else None
+                    except RecursionError as exc:  # decoded, but too deep to encode
+                        raise ParseError(f"{path}:{line_number}: invalid record: {exc}") from exc
                 elif (keys := tuple(payload)) == shape:  # refill the previous line's keys
                     payload, filled = template.copy(), payload
                     payload.update(filled)
@@ -312,7 +312,7 @@ def _read_batch(
             yield Transaction(txn_id, triggered, payload or None)
 
 
-def _decode_line(text: str, path: Path, line_number: int) -> Any:
+def _decode_line(text: str, path: str, line_number: int) -> object:
     try:
         return json.loads(text, **_BATCH_HOOKS)
     except json.JSONDecodeError as exc:
@@ -321,7 +321,7 @@ def _decode_line(text: str, path: Path, line_number: int) -> Any:
         raise ParseError(f"{path}:{line_number}: invalid record: {exc}") from exc
 
 
-def _parse_rule(entry: Any, index: int, path: Path) -> RuleSpec:
+def _parse_rule(entry: object, index: int, path: str) -> RuleSpec:
     where = f"{path}: rule #{index + 1}"
     if not isinstance(entry, dict):
         raise ParseError(f"{where}: must be an object")
@@ -363,7 +363,7 @@ def _number(mapping: dict, key: str, where: str) -> float:
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ParseError(f"{where}: field {key!r} must be finite, got {value!r}")
+        raise ParseError(f"{where}: field {key!r} must be finite, got {printable(value)!r}")
     return number
 
 
@@ -377,8 +377,9 @@ def _is_unicode(text: str) -> bool:
     return True
 
 
-def _read_json_object(path: Path) -> dict:
-    text = path.read_text(encoding="utf-8-sig")
+def _read_json_object(path: str) -> dict:
+    with open(path, encoding="utf-8-sig") as handle:
+        text = handle.read()
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -391,11 +392,12 @@ def _read_json_object(path: Path) -> dict:
 
 
 @contextmanager
-def _naming(path: str | Path) -> Iterator[Path]:
+def _naming(path: str | os.PathLike) -> Iterator[str]:
     """A loader's scope for ``path``: names the file once in what the body
     raises. A ParseError names it already, and so does an OSError, which
-    passes to ``cli.main``."""
-    path = Path(path)
+    passes to ``cli.main``. An int is not a path: ``open`` would take it as
+    a file descriptor and close it."""
+    path = os.fspath(path)
     try:
         yield path
     except ParseError:

@@ -10,9 +10,9 @@ re-exports the mode, the conflict limit and the fold.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
 from math import fsum, inf
-from typing import Sequence
 
 from .errors import EmptyInput, TotalConflict
 

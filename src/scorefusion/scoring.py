@@ -5,9 +5,8 @@ classify against a threshold, and rank the batch.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from math import inf, isfinite
-from typing import TYPE_CHECKING
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar, Union
 
 # posterior is no longer called here, but it stays a module attribute beside
 # masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
@@ -18,8 +17,8 @@ from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule, printabl
 from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary  # noqa: F401
 from .kernel import normalize
 
-if TYPE_CHECKING:
-    from .evidence import MassFunction
+# MassFunction, in annotations here, is evidence's; it is not imported, so
+# that scoring loads no more than the binary kernel.
 
 
 def __getattr__(name: str) -> object:
@@ -103,24 +102,26 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
         return fraud_mass(self.m_fraud, self.m_genuine, self.m_uncertain)
 
 
-class DempsterCombiner(NamedTuple):
+class DempsterCombiner(
+    namedtuple("DempsterCombiner", "mode", defaults=(CombinationMode.STANDARD,))
+):
     """Fuse triggered rules with Dempster's rule in the given mode."""
 
-    mode: CombinationMode = CombinationMode.STANDARD
+    __slots__ = ()
 
     @property
     def name(self) -> str:
         return next(name for name, mode in DEMPSTER_MODES.items() if mode is self.mode)
 
 
-class BayesCombiner(NamedTuple):
+class BayesCombiner(namedtuple("BayesCombiner", "model")):
     """Fuse triggered rules through the naive-Bayes posterior of a fitted model."""
 
-    model: BayesModel
+    __slots__ = ()
     name = "bayes"
 
 
-Combiner = Union[DempsterCombiner, BayesCombiner]
+Combiner = DempsterCombiner | BayesCombiner
 
 
 class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
@@ -204,7 +205,14 @@ class Transaction(namedtuple("Transaction", "id triggered payload")):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class ScoreReport(NamedTuple):
+class ScoreReport(
+    namedtuple(
+        "ScoreReport",
+        "transaction_id bel_fraud pl_fraud point_estimate conflict n_sources"
+        " suspicious confirmed rank payload",
+        defaults=(None, None),
+    )
+):
     """Fused verdict for one transaction.
 
     point_estimate equals bel_fraud for Dempster fusion and the posterior
@@ -212,21 +220,13 @@ class ScoreReport(NamedTuple):
     by :func:`rank` after sorting a batch.
     """
 
-    transaction_id: str
-    bel_fraud: float
-    pl_fraud: float
-    point_estimate: float
-    conflict: float
-    n_sources: int
-    suspicious: bool
-    confirmed: bool
-    rank: int | None = None
-    payload: Mapping | None = None
+    __slots__ = ()
 
 
-class ClassificationFlags(NamedTuple):
-    suspicious: bool
-    confirmed: bool
+class ClassificationFlags(namedtuple("ClassificationFlags", "suspicious confirmed")):
+    """Whether a belief interval's upper and lower bounds clear a threshold."""
+
+    __slots__ = ()
 
 
 def classify(bel_fraud: float, pl_fraud: float, threshold: float) -> ClassificationFlags:
@@ -289,7 +289,7 @@ def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
     return [r._replace(rank=position) for position, r in enumerate(ordered, start=1)]
 
 
-SideRow = tuple[Transaction, str, Union[str, None]]
+SideRow = tuple[Transaction, str, str | None]
 
 
 def score_batch(
@@ -378,10 +378,7 @@ def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float
     return fold_dempster
 
 
-_T = TypeVar("_T")
-
-
-def _triggered(table: Mapping[str, _T], txn: Transaction) -> list[_T]:
+def _triggered(table: Mapping, txn: Transaction) -> list:
     """The table's entry for each triggered rule, in trigger order.
 
     Every id is resolved before anything is fused, so an unknown rule is

@@ -969,6 +969,42 @@ class TestInputBoundary:
         Path(path).write_text("[" * 5000 + "\n", encoding="utf-8")
         self.check(capsys, ["score", config, batch], path)
 
+    def test_payload_too_deep_to_encode_names_line(self, tmp_path, paper_mode_setup):
+        # Near the recursion limit the decoder can take a line that encoding
+        # its payload for jsonl cannot. The calls run in one child process,
+        # whose stack is as deep as a real run's, not pytest's.
+        config, _ = paper_mode_setup
+        batches = [
+            write(
+                tmp_path / f"deep{depth}.jsonl",
+                '{"id": "a", "triggered": ["R1"], "payload": {"x": '
+                + "[" * depth + "]" * depth + "}}\n",
+            )
+            for depth in range(900, 1001)
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from scorefusion.cli import main\n"
+            "for batch in json.loads(sys.argv[2]):\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        status = main(['score', sys.argv[1], batch, '--output', 'jsonl'])\n"
+            "    print(json.dumps([status, err.getvalue()]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, config, json.dumps(batches)],
+            capture_output=True,
+            text=True,
+            env=TestModuleEntryPoint.env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        for batch, line in zip(batches, proc.stdout.splitlines(), strict=True):
+            status, err = json.loads(line)
+            assert (status, err) == (0, "") or (
+                status == 2 and err.startswith(f"error: {batch}:1: invalid record: ")
+            ), (batch, err)
+
 
 class TestStreamedBatch:
     """score reads its batch one line at a time, keeps a payload only as
@@ -1065,7 +1101,8 @@ class TestStreamedBatch:
                 with pytest.raises(RuntimeError, match="fold failed") as raised:
                     main(["score", config, batch, "--output", output])
                 # Closed already, while the traceback still holds the reader.
-                assert [handle.closed for handle in opened] == [True]
+                assert all(handle.closed for handle in opened)
+                assert batch in [handle.name for handle in opened]
                 del raised
                 opened.clear()
                 calls.clear()

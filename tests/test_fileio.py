@@ -450,6 +450,12 @@ BASIC_RULES = [
             },
             "rule 'R1': masses sum to 0.9999999989999999, expected 1",
         ),
+        # An int too large for a float prints as inf, not digit by digit.
+        ({"threshold": 10**400, "rules": BASIC_RULES}, "field 'threshold' must be finite, got inf"),
+        (
+            {"rules": [{"id": "R1", "score": -(10**400)}]},
+            "rule 'R1': field 'score' must be finite, got -inf",
+        ),
     ],
     ids=[
         "not-object",
@@ -462,6 +468,8 @@ BASIC_RULES = [
         "threshold",
         "fsum-unnormalized",
         "fsum-unnormalized-bayes",
+        "threshold-huge-int",
+        "score-huge-negative-int",
     ],
 )
 def test_rule_config_message(tmp_path, document, message):
@@ -469,6 +477,55 @@ def test_rule_config_message(tmp_path, document, message):
     with pytest.raises(ParseError) as info:
         load_rule_config(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def test_model_prints_an_int_too_large_for_a_float_as_inf(tmp_path, history_csv):
+    path = tmp_path / "model.json"
+    save_model(fit(load_history_csv(history_csv)), path)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    document["prior_fraud"] = -(10**400)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: field 'prior_fraud' must be finite, got -inf"
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+def test_model_reference_resolves_against_the_config_directory(
+    tmp_path, monkeypatch, absolute
+):
+    # The model named in the error is the file that was read.
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("models")
+    model = write_config(tmp_path / "models", {"format": "other"}, name="model.json")
+    reference = str(model) if absolute else "../models/model.json"
+    os.mkdir("configs")
+    write_config(
+        tmp_path / "configs",
+        {"combiner": "bayes", "model": reference, "rules": BASIC_RULES},
+    )
+    with pytest.raises(ParseError) as info:
+        load_rule_config("configs/rules.json")
+    shown = str(model) if absolute else "configs/../models/model.json"
+    assert str(info.value) == (
+        f"{shown}: not a model file (format 'other', expected 'scorefusion-model/1')"
+    )
+
+
+def test_an_error_names_the_path_as_given(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, {"rules": []})
+    with pytest.raises(ParseError) as info:
+        load_rule_config("./rules.json")
+    assert str(info.value) == "./rules.json: 'rules' must be a non-empty list"
+
+
+@pytest.mark.parametrize("load", [load_rule_config, load_model, load_batch, load_history_csv])
+def test_a_file_descriptor_is_not_a_path(load):
+    # open() would take the int as a descriptor, and close it. None is open
+    # at this number, so a loader that took it would raise OSError instead.
+    with pytest.raises(TypeError):
+        load(10**6)
 
 
 @pytest.mark.parametrize("load", [load_rule_config, load_model, load_batch, load_history_csv])

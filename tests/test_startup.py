@@ -1,6 +1,7 @@
 """What the package loads: a score or fit process loads only the binary
 kernels, no command loads dataclasses or anything outside the standard
-library, and the package binds each export when it is first read."""
+library, on a clean interpreter no command loads typing or pathlib, and the
+package binds each export when it is first read."""
 
 import ast
 import json
@@ -36,10 +37,10 @@ print(json.dumps([statuses, sorted(sys.modules), sorted(set(sys.modules) - start
 """
 
 
-def probe(*argvs):
+def probe(*argvs, flags=()):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        [sys.executable, *flags, "-c", PROBE, json.dumps(argvs)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -87,7 +88,26 @@ def test_combine_loads_evidence():
     assert not set(UNUSED_STDLIB) & set(loaded)
 
 
-def test_no_module_imports_dataclasses():
+def test_a_clean_interpreter_loads_neither_typing_nor_pathlib(tmp_path, history_csv):
+    # -S: no site, whose .pth files may load either module before the package.
+    rules = [{"id": "E1", "score": 0.7, "uncertainty": 0.2}, {"id": "E2", "score": 0.4}]
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text('{"id": "t1", "triggered": ["E1", "E2"]}\n', encoding="utf-8")
+    argvs = [["fit", str(history_csv), str(tmp_path / "model.json")]]
+    for combiner, output in (("ds-standard", "csv"), ("ds-paper", "jsonl"), ("bayes", "table")):
+        config = tmp_path / f"{combiner}.json"
+        document = {"combiner": combiner, "model": "model.json", "rules": rules}
+        config.write_text(json.dumps(document), encoding="utf-8")
+        argvs.append(["score", str(config), str(batch), "--output", output])
+    argvs.append(["combine", "--mass", "f=0.6,g=0.3,u=0.1", "--mass", "f=0.2,g=0.5,u=0.3"])
+    statuses, loaded, _ = probe(*argvs, flags=["-S"])
+    assert statuses == [0, 0, 0, 0, 0]
+    assert "site" not in loaded
+    assert not {"typing", "pathlib"} & set(loaded)
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "typing", "pathlib"])
+def test_no_module_imports(module):
     strays = []
     for path in sorted(SRC.glob("scorefusion/*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -97,7 +117,7 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module]
             else:
                 continue
-            if "dataclasses" in modules:
+            if module in modules:
                 strays.append(f"{path.name}:{node.lineno}")
     assert strays == []
 
