@@ -19,7 +19,7 @@ from contextlib import closing
 from json.encoder import encode_basestring_ascii
 
 from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
-from .errors import DegenerateClass, FusionError, ParseError, TotalConflict
+from .errors import DegenerateClass, FusionError, ParseError, TotalConflict, clipped
 from .fileio import _read_batch, load_history_csv, load_rule_config, save_model
 from .kernel import combine_binary
 from .scoring import (
@@ -211,7 +211,17 @@ def cmd_score(args: argparse.Namespace) -> int:
     with closing(_read_batch(args.batch, keep)) as transactions:
         ranked, side = score_batch(ruleset, transactions)
     emit = {"table": _emit_table, "csv": _emit_csv, "jsonl": _emit_jsonl}[args.output]
-    emit(ranked, side, ruleset.combiner.name, ruleset.threshold)
+    # The report is printed whole or not at all, so an unbuffered stdout
+    # (python -u, PYTHONUNBUFFERED) is buffered while it prints: a system
+    # call per block instead of per row. Restoring it flushes.
+    write_through = getattr(sys.stdout, "write_through", False)
+    if write_through:
+        sys.stdout.reconfigure(write_through=False)
+    try:
+        emit(ranked, side, ruleset.combiner.name, ruleset.threshold)
+    finally:
+        if write_through:
+            sys.stdout.reconfigure(write_through=True)
     return 0 if ranked else 1
 
 
@@ -367,27 +377,28 @@ def cmd_combine(args: argparse.Namespace) -> int:
 
 def _parse_mass_flag(text: str) -> tuple[float, float, float]:
     values: dict[str, float] = {}
+    shown = clipped(text)
     for part in text.split(","):
         key, sep, raw = part.partition("=")
         key = key.strip()
         if not sep or key not in ("f", "g", "u"):
             raise ParseError(
-                f"--mass {text!r}: expected f=<x>,g=<y>[,u=<z>], got part {part!r}"
+                f"--mass {shown}: expected f=<x>,g=<y>[,u=<z>], got part {clipped(part)}"
             )
         if key in values:
-            raise ParseError(f"--mass {text!r}: component {key!r} given twice")
+            raise ParseError(f"--mass {shown}: component {key!r} given twice")
         try:
             values[key] = float(raw)
         except ValueError:
-            raise ParseError(f"--mass {text!r}: {raw.strip()!r} is not a number") from None
+            raise ParseError(f"--mass {shown}: {clipped(raw.strip())} is not a number") from None
     if "f" not in values or "g" not in values:
-        raise ParseError(f"--mass {text!r}: both f=<x> and g=<y> are required")
+        raise ParseError(f"--mass {shown}: both f=<x> and g=<y> are required")
     from .evidence import mass_triple
 
     try:
         return mass_triple(values["f"], values["g"], values.get("u", 0.0))
     except FusionError as exc:
-        raise ParseError(f"--mass {text!r}: {exc}") from exc
+        raise ParseError(f"--mass {shown}: {exc}") from exc
 
 
 if __name__ == "__main__":

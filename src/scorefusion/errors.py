@@ -92,3 +92,11 @@ def printable(value: object) -> object:
         except OverflowError:
             return float("inf") if value > 0 else float("-inf")
     return value
+
+
+def clipped(value: object) -> str:
+    """``repr(printable(value))`` as a message shows a user value: its first
+    60 characters, then ``...`` and the full length of the repr, when it is
+    longer. So a message stays one short line however long the value."""
+    text = repr(printable(value))
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"

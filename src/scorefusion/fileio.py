@@ -15,9 +15,10 @@ import math
 import os
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
+from functools import partial
 
 from .bayes import BayesModel, LabeledHistory
-from .errors import EmptyHistory, FusionError, ParseError, printable
+from .errors import EmptyHistory, FusionError, ParseError, clipped
 from .scoring import (
     DEMPSTER_MODES,
     BayesCombiner,
@@ -56,6 +57,10 @@ _BATCH_HOOKS = {"parse_constant": _reject_constant, "parse_float": _finite_float
 
 # What json.loads runs once it has checked its input: one value from an index.
 _scan_json = json.JSONDecoder(**_BATCH_HOOKS).scan_once
+
+# A Transaction from its three fields, without the constructor's checks,
+# for a reader that has made them already.
+_transaction = partial(tuple.__new__, Transaction)
 
 
 def load_history_csv(path: str | os.PathLike) -> LabeledHistory:
@@ -202,7 +207,7 @@ def load_rule_config(path: str | os.PathLike) -> RuleSet:
         document = _read_json_object(path)
         frame = document.get("frame", list(FRAME_LABELS))
         if not isinstance(frame, list) or tuple(frame) != FRAME_LABELS:
-            raise ParseError(f"{path}: frame must be {list(FRAME_LABELS)}, got {frame!r}")
+            raise ParseError(f"{path}: frame must be {list(FRAME_LABELS)}, got {clipped(frame)}")
         combiner_name = document.get("combiner", "ds-standard")
         threshold = _number(document, "threshold", path) if "threshold" in document else 0.5
         rules_doc = document.get("rules")
@@ -218,7 +223,9 @@ def load_rule_config(path: str | os.PathLike) -> RuleSet:
             combiner = BayesCombiner(load_model(os.path.join(os.path.dirname(path), model_ref)))
         else:
             names = ", ".join([*DEMPSTER_MODES, BayesCombiner.name])
-            raise ParseError(f"{path}: combiner must be one of {names}; got {combiner_name!r}")
+            raise ParseError(
+                f"{path}: combiner must be one of {names}; got {clipped(combiner_name)}"
+            )
         return RuleSet.from_rules(rules, combiner, threshold)
 
 
@@ -227,9 +234,6 @@ def load_batch(path: str | os.PathLike) -> list[Transaction]:
 
     Each line is an object {id, triggered, payload?}; any unknown fields are
     folded into the payload. Transaction ids must be unique within the batch.
-    The batch holds each rule id once, and each top-level payload key once
-    across consecutive lines whose payloads have the same keys in the same
-    order; the scanner makes fresh strings on every line.
     """
     return list(_read_batch(path, None))
 
@@ -244,10 +248,6 @@ def _read_batch(
     The batch file stays open until the generator is exhausted or closed.
     """
     seen: set[str] = set()
-    rule_ids: dict[str, str] = {}  # each id seen, mapped to its first copy
-    shared_id = rule_ids.__getitem__
-    shape: tuple[str, ...] = ()  # the previous payload's keys, in order
-    template: dict[str, None] = {}  # those keys, mapped to None
     with _naming(path) as path, open(path, encoding="utf-8-sig") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
@@ -271,20 +271,21 @@ def _read_batch(
                 raise ParseError(f"{path}:{line_number}: 'id' is not valid Unicode text")
             if txn_id in seen:
                 raise ParseError(
-                    f"{path}:{line_number}: duplicate transaction id {txn_id!r}"
+                    f"{path}:{line_number}: duplicate transaction id {clipped(txn_id)}"
                 )
             seen.add(txn_id)
             triggered = record.get("triggered", [])
-            if type(triggered) is list:
-                try:
-                    triggered = tuple(map(shared_id, triggered))
-                except (KeyError, TypeError):  # an id first seen here, or not an id
-                    if all(type(rule_id) is str for rule_id in triggered):
-                        triggered = tuple(rule_ids.setdefault(i, i) for i in triggered)
-            if type(triggered) is not tuple:
+            try:
+                "".join(triggered)  # a TypeError unless every id is a string
+            except TypeError:
+                triggered = None
+            if type(triggered) is not list:
                 raise ParseError(
                     f"{path}:{line_number}: 'triggered' must be a list of rule ids"
                 )
+            triggered = tuple(triggered)
+            if len(set(triggered)) < len(triggered):  # Transaction's dedup
+                triggered = tuple(dict.fromkeys(triggered))
             if len(record) == 1 + ("triggered" in record):  # nothing but id, triggered
                 payload = None
             else:
@@ -304,12 +305,8 @@ def _read_batch(
                         payload = keep(payload) if payload else None
                     except RecursionError as exc:  # decoded, but too deep to encode
                         raise ParseError(f"{path}:{line_number}: invalid record: {exc}") from exc
-                elif (keys := tuple(payload)) == shape:  # refill the previous line's keys
-                    payload, filled = template.copy(), payload
-                    payload.update(filled)
-                else:
-                    shape, template = keys, dict.fromkeys(keys)
-            yield Transaction(txn_id, triggered, payload or None)
+            # Every check Transaction makes is made above.
+            yield _transaction((txn_id, triggered, payload or None))
 
 
 def _decode_line(text: str, path: str, line_number: int) -> object:
@@ -357,13 +354,13 @@ def _parse_rule(entry: object, index: int, path: str) -> RuleSpec:
 def _number(mapping: dict, key: str, where: str) -> float:
     value = mapping.get(key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ParseError(f"{where}: field {key!r} must be a number, got {value!r}")
+        raise ParseError(f"{where}: field {key!r} must be a number, got {clipped(value)}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ParseError(f"{where}: field {key!r} must be finite, got {printable(value)!r}")
+        raise ParseError(f"{where}: field {key!r} must be finite, got {clipped(value)}")
     return number
 
 

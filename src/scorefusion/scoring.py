@@ -6,12 +6,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from math import inf, isfinite
+from functools import partial
+from math import inf, isfinite, prod
+from operator import itemgetter
 
 # posterior is no longer called here, but it stays a module attribute beside
 # masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
 # three by name.
-from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
+from .bayes import _TINY, BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
 from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule, printable
 # NORMALIZATION_TOLERANCE stays a module attribute beside RuleSpec.
 from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary  # noqa: F401
@@ -223,6 +225,10 @@ class ScoreReport(
     __slots__ = ()
 
 
+# A ScoreReport from its ten fields; it has no checks to skip.
+_report = partial(tuple.__new__, ScoreReport)
+
+
 class ClassificationFlags(namedtuple("ClassificationFlags", "suspicious confirmed")):
     """Whether a belief interval's upper and lower bounds clear a threshold."""
 
@@ -323,19 +329,15 @@ def score_batch(
     # Each row is replaced by its report, so the two lists never coexist.
     for index, (neg_bel, neg_pl, txn_id, _, discarded, n_sources, payload) in enumerate(rows):
         bel, pl = -neg_bel, -neg_pl
-        rows[index] = ScoreReport(
-            txn_id,
-            bel,
-            pl,
-            bel,
-            discarded,
-            n_sources,
-            pl > threshold,
-            bel > threshold,
-            index + 1,
-            payload,
+        rows[index] = _report(
+            (txn_id, bel, pl, bel, discarded, n_sources, pl > threshold, bel > threshold,
+             index + 1, payload)
         )
     return rows, side
+
+
+# A likelihood pair's P(E|fraud) and P(E|genuine).
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float, int]]:
@@ -348,8 +350,8 @@ def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float
     combiner = ruleset.combiner
     if isinstance(combiner, BayesCombiner):
         model = combiner.model
-        pairs = ruleset.pairs
         prior_fraud, prior_genuine = model.prior_fraud, model.prior_genuine
+        pair_of = ruleset.pairs.__getitem__
 
         def fold_bayes(txn: Transaction) -> tuple[float, float, float, int]:
             # The compiled pairs in posterior's sorted id order. Only when a
@@ -357,12 +359,22 @@ def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float
             # way, so that the errors and messages are those of the generic
             # path, the model's UnknownEvidence last.
             try:
-                found = [pairs[rule_id] for rule_id in sorted(txn.triggered)]
+                found = list(map(pair_of, sorted(txn.triggered)))
             except KeyError:
                 found = []
             if not found:
                 _triggered(ruleset.rules, txn)
                 resolve_ids(model, txn.triggered)
+            else:
+                # posterior_binary's products, one C call each. Every prior
+                # and likelihood is in [0, 1], so a running product never
+                # grows, even rounded: a final product at or above _TINY was
+                # never rescaled, and the quotient is posterior_binary's.
+                fraud = prod(map(_first, found), start=prior_fraud)
+                genuine = prod(map(_second, found), start=prior_genuine)
+                if fraud >= _TINY and genuine >= _TINY:
+                    p_fraud = fraud / (fraud + genuine)
+                    return p_fraud, p_fraud, 0.0, len(found)
             p_fraud = posterior_binary(prior_fraud, prior_genuine, found)
             return p_fraud, p_fraud, 0.0, len(found)
 

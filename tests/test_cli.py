@@ -846,6 +846,23 @@ class TestCombineMatchesScore:
         } <= set(out.splitlines())
 
 
+class _CountingRaw(io.RawIOBase):
+    """A raw byte stream that keeps what is written to it and counts the
+    write calls, each a system call on a real file."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.calls = 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.calls += 1
+        self.data += data
+        return len(data)
+
+
 def _write_bytes(path, data):
     path.write_bytes(data)
     return str(path)
@@ -1052,6 +1069,47 @@ class TestStreamedBatch:
         assert status == 0
         assert peak < bound * os.path.getsize(batch)
 
+    @pytest.mark.parametrize("output", ["table", "csv", "jsonl"])
+    def test_an_unbuffered_stdout_gets_the_report_in_blocks(
+        self, tmp_path, paper_mode_setup, output
+    ):
+        # python -u and PYTHONUNBUFFERED make stdout write through: one
+        # system call per write. score buffers it while the report prints.
+        config, _ = paper_mode_setup
+        batch = self.payload_batch(tmp_path / "payload.jsonl", 2000)
+        argv = ["score", config, batch, "--output", output]
+        unbuffered, buffered = _CountingRaw(), _CountingRaw()
+        stdout = io.TextIOWrapper(unbuffered, encoding="utf-8", write_through=True)
+        with redirect_stdout(stdout):
+            assert main(argv) == 0
+        assert stdout.write_through
+        with redirect_stdout(io.TextIOWrapper(io.BufferedWriter(buffered), encoding="utf-8")):
+            assert main(argv) == 0
+        assert unbuffered.data == buffered.data
+        assert unbuffered.calls <= len(unbuffered.data) // 4096 + 4
+
+    @pytest.mark.parametrize("output", ["table", "csv"])
+    def test_an_unbuffered_stdout_that_cannot_encode_a_row_is_restored(
+        self, tmp_path, paper_mode_setup, output
+    ):
+        config, _ = paper_mode_setup
+        lines = [{"id": f"t{n:04d}", "triggered": ["R1"]} for n in range(500)]
+        lines.append({"id": "\u00e9", "triggered": ["R2"]})  # ranked last
+        batch = write(tmp_path / "batch.jsonl", "".join(json.dumps(r) + "\n" for r in lines))
+        argv = ["score", config, batch, "--output", output]
+        unbuffered, buffered = _CountingRaw(), _CountingRaw()
+        stdout = io.TextIOWrapper(unbuffered, encoding="ascii", write_through=True)
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 2
+        assert stdout.write_through
+        assert err.getvalue() == "error: stdout's encoding ascii cannot write '\u00e9'\n"
+        # What printed before the row that failed is all written.
+        stdout = io.TextIOWrapper(io.BufferedWriter(buffered), encoding="ascii")
+        with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+            assert main(argv) == 2
+        assert unbuffered.data == buffered.data
+        assert unbuffered.data.count(b"\n") == 502  # the two header lines and 500 rows
+
     @pytest.mark.parametrize(
         "last, message",
         [
@@ -1255,6 +1313,56 @@ def test_fuzzed_invocations_end_in_an_exit_code(tmp_path_factory, data):
     argv = data.draw(_invocations(work))
     status, _, err = run_main(argv)
     assert status in (0, 1, 2, 3), (argv, err)
+
+
+# Text of up to 10**5 characters, alone or in a list, as a value a message names.
+_long_text = st.builds(
+    lambda unit, count: unit * count, st.text(min_size=1, max_size=4), st.integers(1, 25_000)
+)
+_long_values = st.one_of(_long_text, _long_text.map(lambda text: [text]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_long_value_makes_a_short_message(tmp_path_factory, data):
+    """A message shows a long user value clipped, so that stderr stays one
+    short line: at most 1000 bytes besides the path it names."""
+    work = tmp_path_factory.getbasetemp() / "long"
+    work.mkdir(exist_ok=True)
+    field = data.draw(
+        st.sampled_from(
+            ["threshold", "frame", "combiner", "score", "prior_fraud", "id", "--mass"]
+        )
+    )
+    value = data.draw(_long_values)
+    config = {"rules": [{"id": "R0", "score": 0.5}]}
+    model = dict(_MODEL)
+    lines = [{"id": "t1", "triggered": ["R0"]}]
+    if field in ("threshold", "frame", "combiner"):
+        config[field] = value
+    elif field == "score":
+        config["rules"][0]["score"] = value
+    elif field == "prior_fraud":
+        config.update(combiner="bayes", model="model.json")
+        model["prior_fraud"] = value
+    elif field == "id":
+        text = value if isinstance(value, str) else value[0]
+        lines = [{"id": text, "triggered": ["R0"]}] * 2
+    paths = [write(work / "rules.json", json.dumps(config))]
+    paths.append(write(work / "model.json", json.dumps(model)))
+    paths.append(write(work / "batch.jsonl", "".join(json.dumps(r) + "\n" for r in lines)))
+    argv = ["score", paths[0], paths[2]]
+    if field == "--mass":
+        text = value if isinstance(value, str) else value[0]
+        mass = data.draw(st.sampled_from([f"f={text},g=0.1", f"{text}=0.5,g=0.5", f"f=0.5,{text}"]))
+        argv = ["combine", "--mass", mass, "--mass", "f=0.5,g=0.5"]
+    status, out, err = run_main(argv)
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        path_bytes = max(len(path.encode()) for path in paths)
+        assert len(err.encode("utf-8", "backslashreplace")) <= 1000 + path_bytes
 
 
 # Number literals a batch line may hold, among them some too large for a float.

@@ -27,6 +27,7 @@ from scorefusion import (
 from scorefusion.bayes import EvidenceCounts, LabeledHistory
 from scorefusion.errors import EmptyHistory, ParseError
 from scorefusion.fileio import (
+    _read_batch,
     load_batch,
     load_history_csv,
     load_model,
@@ -772,6 +773,37 @@ class TestBatchFile:
         assert str(info.value) == f"{path}:2: 'payload' must be an object"
 
     @settings(deadline=None)  # file I/O per example
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["R1", "R2", "é", "R1 "]), max_size=8),
+                st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+            ),
+            max_size=6,
+        )
+    )
+    def test_each_record_is_the_transaction_its_constructor_builds(self, tmp_path_factory, rows):
+        """The reader builds each Transaction without calling its
+        constructor, and must build the same record: of the same type, with
+        the first of each repeated trigger, in trigger order."""
+        path = tmp_path_factory.mktemp("batch") / "batch.jsonl"
+        path.write_text(
+            "".join(
+                json.dumps({"id": f"t{n}", "triggered": triggered, "payload": payload}) + "\n"
+                for n, (triggered, payload) in enumerate(rows)
+            ),
+            encoding="utf-8",
+        )
+        for keep in (None, json.dumps):
+            records = list(_read_batch(path, keep))
+            kept = keep or (lambda payload: payload)
+            assert [type(txn) for txn in records] == [Transaction] * len(rows)
+            assert records == [
+                Transaction(f"t{n}", triggered, kept(payload) if payload else None)
+                for n, (triggered, payload) in enumerate(rows)
+            ]
+
+    @settings(deadline=None)  # file I/O per example
     @given(st.data())
     def test_matches_json_loads_reference(self, tmp_path_factory, data):
         ids = data.draw(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=8))
@@ -802,34 +834,6 @@ class TestBatchFile:
         assert batch == expected
         # == on dicts ignores key order, and jsonl prints a payload in its order
         assert _payload_items(batch) == _payload_items(expected)
-
-    def test_lines_with_the_same_keys_share_them(self, tmp_path):
-        path = tmp_path / "batch.jsonl"
-        path.write_text(
-            "".join(
-                json.dumps({"id": f"t{n}", "payload": {"amount": n, "currency": "EUR"}, "seq": n})
-                + "\n"
-                for n in range(3)
-            ),
-            encoding="utf-8",
-        )
-        first, *rest = [list(txn.payload) for txn in load_batch(path)]
-        assert first == ["amount", "currency", "seq"]
-        for keys in rest:
-            assert [key is shared for key, shared in zip(keys, first)] == [True] * 3
-
-    def test_equal_rule_ids_are_one_object(self, tmp_path):
-        path = tmp_path / "batch.jsonl"
-        path.write_text(
-            '{"id": "t1", "triggered": ["velocity", "geo-mismatch"]}\n'
-            '{"id": "t2", "triggered": ["geo-mismatch"], "payload": {"a": 1}}\n'
-            '{"id": "t3", "triggered": ["new-device", "velocity", "velocity"]}\n',
-            encoding="utf-8",
-        )
-        t1, t2, t3 = load_batch(path)
-        assert t3.triggered == ("new-device", "velocity")
-        assert t1.triggered[0] is t3.triggered[1]
-        assert t1.triggered[1] is t2.triggered[0]
 
     @pytest.mark.parametrize(
         "odd",

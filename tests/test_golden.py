@@ -11,12 +11,28 @@ CASES = cases()
 STATUSES = json.loads((EXPECTED / STATUS_FILE).read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_case_matches_golden(name, tmp_path):
+def _check_case(name, tmp_path):
     status, outputs = run(CASES[name], tmp_path)
     assert status == STATUSES[name]
     for suffix, data in outputs.items():
         assert data == (EXPECTED / f"{name}{suffix}").read_bytes(), suffix
+
+
+# Each case runs with stdout block-buffered, as a pipe is by default, and
+# again written through, as python -u and PYTHONUNBUFFERED make it, so that
+# the corpus pins both whichever the environment sets.
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    _check_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_case_matches_golden_unbuffered(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    _check_case(name, tmp_path)
 
 
 def test_every_case_has_a_recorded_status():

@@ -30,6 +30,7 @@ from scorefusion import (
     score_batch,
     scoring,
 )
+from scorefusion.bayes import posterior_binary, resolve_ids
 from scorefusion.errors import (
     FusionError,
     InvalidValue,
@@ -374,6 +375,22 @@ class TestScoreBayesFold:
         assert report.point_estimate == pytest.approx(posterior_log(model, ids).p_fraud, rel=1e-12)
         assert report.point_estimate == pytest.approx(exact_p_fraud(model, ids), rel=1e-12)
 
+    def test_subnormal_product_is_not_taken_as_the_posterior(self):
+        # The direct fraud product of these three pairs is subnormal, so it
+        # lost bits that the rescaled product keeps: the quotients differ.
+        prior = float.fromhex("0x1.b87a04237194ap-3")
+        pairs = {
+            "E1": (float.fromhex("0x1.a2c8a6c4a1696p-398"), float.fromhex("0x1.e0ba140208b1cp-1")),
+            "E2": (float.fromhex("0x1.3bf88b4ca0f7ep-263"), float.fromhex("0x1.679984c8b7b3cp-1")),
+            "E3": (float.fromhex("0x1.d64ef5c34d09bp-363"), float.fromhex("0x1.d4e65a344eeaap-1")),
+        }
+        ruleset, model = bayes_ruleset(prior, pairs)
+        fraud = math.prod([f for f, _ in pairs.values()], start=prior)
+        genuine = math.prod([g for _, g in pairs.values()], start=model.prior_genuine)
+        expected = posterior_binary(prior, model.prior_genuine, pairs.values())
+        assert fraud / (fraud + genuine) != expected
+        assert score(ruleset, Transaction("t", ("E3", "E1", "E2"))).point_estimate == expected
+
     def test_zero_likelihood_gives_exact_bounds(self):
         ruleset, _ = bayes_ruleset(
             0.4, {"E1": (0.0, 0.3), "E2": (0.7, 0.0), "E3": (0.5, 0.5)}
@@ -435,6 +452,67 @@ class TestScoreBayesFold:
             [],
             [(batch[0], "error", "UnknownRule"), (batch[1], "error", "UnknownRule")],
         )
+
+
+def _old_fold_bayes(ruleset, txn):
+    """The Bayes fold as it was before it multiplied each likelihood column
+    with math.prod: every transaction's compiled pairs through
+    posterior_binary."""
+    model = ruleset.combiner.model
+    pairs = ruleset.pairs
+    try:
+        found = [pairs[rule_id] for rule_id in sorted(txn.triggered)]
+    except KeyError:
+        found = []
+    if not found:
+        scoring._triggered(ruleset.rules, txn)
+        resolve_ids(model, txn.triggered)
+    p_fraud = posterior_binary(model.prior_fraud, model.prior_genuine, found)
+    return p_fraud, p_fraud, 0.0, len(found)
+
+
+# Exact 0 and 1, ints among them, and magnitudes down to 2**-400, so that
+# up to 300 factors take a product across 2**-600 and to zero.
+_likelihood_values = st.one_of(
+    st.sampled_from([0, 1, 0.0, 1.0, 2.0**-400, 0.5]),
+    st.floats(0.0, 1.0),
+    st.builds(
+        lambda mantissa, exponent: math.ldexp(mantissa, -exponent),
+        st.floats(0.5, 1.0, exclude_max=True),
+        st.integers(0, 399),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bayes_fold_equals_the_posterior_binary_fold(data):
+    prior_fraud = data.draw(
+        st.one_of(st.sampled_from([0, 1, 0.0, 1.0]), st.floats(0.0, 1.0)), label="prior"
+    )
+    palette = data.draw(
+        st.lists(st.tuples(_likelihood_values, _likelihood_values), min_size=1, max_size=6),
+        label="pairs",
+    )
+    known = [f"E{i:03d}" for i in range(data.draw(st.integers(1, 300), label="known"))]
+    likelihoods = {eid: palette[i % len(palette)] for i, eid in enumerate(known)}
+    # R* are rules the model does not know; X* are not rules at all.
+    extra = data.draw(st.lists(st.sampled_from(["R1", "R2"]), unique=True), label="extra")
+    ruleset, _ = bayes_ruleset(prior_fraud, likelihoods, extra_rules=extra)
+    pool = st.sampled_from(known)
+    if data.draw(st.booleans(), label="stray"):
+        pool = st.one_of(pool, st.sampled_from(["R1", "R2", "X1"]))
+    triggered = data.draw(st.lists(pool, max_size=300), label="triggered")  # with repeats
+    txn = Transaction("t", triggered)
+    try:
+        expected = _old_fold_bayes(ruleset, txn)
+    except FusionError as exc:
+        with pytest.raises(type(exc)) as raised:
+            scoring._fold(ruleset)(txn)
+        assert str(raised.value) == str(exc)
+    else:
+        # repr tells every float apart, -0.0 from 0.0 included
+        assert repr(scoring._fold(ruleset)(txn)) == repr(expected)
 
 
 class TestSlottedRecords:
