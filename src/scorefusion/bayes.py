@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveLikelihood,
     UnknownEvidence,
     ZeroMarginal,
+    clipped,
     printable,
 )
 
@@ -98,7 +99,7 @@ def _pair(record: type, eid: str, values: Iterable) -> tuple:
         return record(*values)
     except TypeError:  # too few or too many values, or not a collection
         fields = ", ".join(record._fields)
-        raise InvalidValue(f"evidence {eid!r} must be a ({fields}) pair") from None
+        raise InvalidValue(f"evidence {clipped(eid)} must be a ({fields}) pair") from None
 
 
 def _check_count(name: str, count: object) -> None:
@@ -131,7 +132,7 @@ class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods
         for eid, pair in likelihoods.items():
             if not (0.0 <= pair.p_given_fraud <= 1.0 and 0.0 <= pair.p_given_genuine <= 1.0):
                 shown = Likelihood(*map(printable, pair))
-                raise InvalidValue(f"evidence {eid!r} likelihoods {shown} outside [0, 1]")
+                raise InvalidValue(f"evidence {clipped(eid)} likelihoods {shown} outside [0, 1]")
         return tuple.__new__(cls, (prior_fraud, prior_genuine, likelihoods, smoothing))
 
     _make = classmethod(lambda cls, fields: cls(*fields))

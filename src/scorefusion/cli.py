@@ -10,7 +10,6 @@ SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -39,27 +38,23 @@ from .scoring import rank, score  # noqa: F401
 # --mode standard|paper names the Dempster combiner ds-standard|ds-paper.
 _MODES = {name.removeprefix("ds-"): mode for name, mode in DEMPSTER_MODES.items()}
 
-_REPORT_FIELDS = (
-    "rank",
-    "id",
-    "bel_fraud",
-    "pl_fraud",
-    "point_estimate",
-    "conflict",
-    "n_sources",
-    "suspicious",
-    "confirmed",
-    "status",
-    "error",
-)
-
 # One scored jsonl row up to its closing brace, as json.dumps prints the
-# record: the id JSON-escaped, floats by repr, the flags as JSON literals. A
-# payload's JSON text is spliced in after it as the last field.
+# record: the id JSON-escaped, floats by repr, bel's repr in both its field
+# and point_estimate's, the flags as JSON literals. A payload's JSON text is
+# spliced in after it as the last field.
 _JSONL_ROW = (
-    '{"rank": %d, "id": %s, "bel_fraud": %r, "pl_fraud": %r, "point_estimate": %r, '
+    '{"rank": %d, "id": %s, "bel_fraud": %s, "pl_fraud": %r, "point_estimate": %s, '
     '"conflict": %r, "n_sources": %d, "suspicious": %s, "confirmed": %s, "status": "scored"'
 )
+
+# The csv header, a scored row and a side row. A scored row prints floats as
+# jsonl does, and each id is a cell from _csv_cell.
+_CSV_HEADER = (
+    "rank,id,bel_fraud,pl_fraud,point_estimate,conflict,n_sources,suspicious,confirmed,"
+    "status,error\n"
+)
+_CSV_ROW = "%d,%s,%s,%r,%s,%r,%d,%s,%s,scored,\n"
+_CSV_SIDE = ",%s,,,,,%d,,,%s,%s\n"
 
 
 def _smoothing_arg(text: str) -> float:
@@ -295,29 +290,29 @@ def _emit_csv(
     combiner_name: str,
     threshold: float,
 ) -> None:
-    print(f"# combiner={combiner_name} threshold={threshold!r}")
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(_REPORT_FIELDS)
-    for r in ranked:
-        writer.writerow(
-            [
-                r.rank,
-                r.transaction_id,
-                repr(r.bel_fraud),
-                repr(r.pl_fraud),
-                repr(r.point_estimate),
-                repr(r.conflict),
-                r.n_sources,
-                _json_bool(r.suspicious),
-                _json_bool(r.confirmed),
-                "scored",
-                "",
-            ]
-        )
-    for txn, status, error_name in side:
-        writer.writerow(
-            ["", txn.id, "", "", "", "", len(txn.triggered), "", "", status, error_name or ""]
-        )
+    write = sys.stdout.write
+    write(f"# combiner={combiner_name} threshold={threshold!r}\n")
+    write(_CSV_HEADER)
+    # Every report holds one float as both bel_fraud and point_estimate.
+    sys.stdout.writelines(
+        _CSV_ROW % (rank, _csv_cell(txn_id), (bel := repr(bel_fraud)), pl_fraud, bel, conflict,
+                    n_sources, _json_bool(suspicious), _json_bool(confirmed))
+        for txn_id, bel_fraud, pl_fraud, _, conflict, n_sources, suspicious, confirmed, rank, _
+        in ranked
+    )
+    sys.stdout.writelines(
+        _CSV_SIDE % (_csv_cell(txn.id), len(txn.triggered), status, error_name or "")
+        for txn, status, error_name in side
+    )
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as a csv cell, quoted as Python 3.13's csv.writer quotes it on
+    every Python: as it is, or, when it holds a comma, a double quote, CR or
+    LF, in double quotes with each inner one doubled. NUL prints as it is."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"%s"' % text.replace('"', '""')
+    return text
 
 
 def _emit_jsonl(
@@ -330,8 +325,8 @@ def _emit_jsonl(
     write(json.dumps({"combiner": combiner_name, "threshold": threshold}) + "\n")
     for r in ranked:
         line = _JSONL_ROW % (
-            r.rank, encode_basestring_ascii(r.transaction_id), r.bel_fraud, r.pl_fraud,
-            r.point_estimate, r.conflict, r.n_sources, _json_bool(r.suspicious),
+            r.rank, encode_basestring_ascii(r.transaction_id), (bel := repr(r.bel_fraud)),
+            r.pl_fraud, bel, r.conflict, r.n_sources, _json_bool(r.suspicious),
             _json_bool(r.confirmed),
         )
         write(f'{line}, "payload": {r.payload}}}\n' if r.payload else f"{line}}}\n")

@@ -128,7 +128,7 @@ def _count_history(
                 if label not in FRAME_LABELS:
                     raise ParseError(
                         f"{path}:{reader.line_num}: label must be 'fraud' or 'genuine', "
-                        f"got {label!r}"
+                        f"got {clipped(label)}"
                     )
                 if txn_id != run_txn:
                     if runs is not None:
@@ -141,7 +141,7 @@ def _count_history(
                     side = FRAME_LABELS.index(run_label)
                 if label != run_label:
                     raise ParseError(
-                        f"{path}:{reader.line_num}: transaction {txn_id!r} labeled both "
+                        f"{path}:{reader.line_num}: transaction {clipped(txn_id)} labeled both "
                         f"{run_label!r} and {label!r}"
                     )
             if rule_id and rule_id not in seen:
@@ -184,11 +184,12 @@ def load_model(path: str | os.PathLike) -> BayesModel:
             raise ParseError(f"{path}: 'likelihoods' must be an object")
         likelihoods = {}
         for eid, entry in likelihoods_doc.items():
+            where = f"{path}: likelihood {clipped(eid)}"
             if not isinstance(entry, dict):
-                raise ParseError(f"{path}: likelihood {eid!r} must be an object")
+                raise ParseError(f"{where} must be an object")
             likelihoods[eid] = (
-                _number(entry, "p_given_fraud", f"{path}: likelihood {eid!r}"),
-                _number(entry, "p_given_genuine", f"{path}: likelihood {eid!r}"),
+                _number(entry, "p_given_fraud", where),
+                _number(entry, "p_given_genuine", where),
             )
         return BayesModel(
             prior_fraud=_number(document, "prior_fraud", path),
@@ -325,7 +326,7 @@ def _parse_rule(entry: object, index: int, path: str) -> RuleSpec:
     rule_id = entry.get("id")
     if not isinstance(rule_id, str) or not rule_id:
         raise ParseError(f"{where}: missing or invalid 'id'")
-    where = f"{path}: rule {rule_id!r}"
+    where = f"{path}: rule {clipped(rule_id)}"
     description = entry.get("description", "")
     if not isinstance(description, str):
         raise ParseError(f"{where}: 'description' must be a string")

@@ -14,7 +14,7 @@ from operator import itemgetter
 # masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
 # three by name.
 from .bayes import _TINY, BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
-from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule, printable
+from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule, clipped, printable
 # NORMALIZATION_TOLERANCE stays a module attribute beside RuleSpec.
 from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary  # noqa: F401
 from .kernel import normalize
@@ -69,10 +69,12 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
             except OverflowError:  # an int too large for a float
                 valid, value = False, inf if value > 0 else -inf
             if not valid:
-                raise InvalidValue(f"rule {id!r}: {name} must be finite and >= 0, got {value!r}")
+                raise InvalidValue(
+                    f"rule {clipped(id)}: {name} must be finite and >= 0, got {value!r}"
+                )
         total, floats = normalize([float(m) if m > 0.0 else 0.0 for m in masses])
         if floats is None:
-            raise InvalidValue(f"rule {id!r}: masses sum to {total!r}, expected 1")
+            raise InvalidValue(f"rule {clipped(id)}: masses sum to {total!r}, expected 1")
         return tuple.__new__(cls, (id, *floats, description))
 
     # What _replace builds with, so that it checks what the constructor checks.
@@ -88,11 +90,11 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
     ) -> RuleSpec:
         if not 0.0 <= score <= 1.0:  # also rejects NaN
             raise InvalidValue(
-                f"rule {rule_id!r}: score must be in [0, 1], got {printable(score)!r}"
+                f"rule {clipped(rule_id)}: score must be in [0, 1], got {printable(score)!r}"
             )
         if not 0.0 <= uncertainty <= 1.0:
             raise InvalidValue(
-                f"rule {rule_id!r}: uncertainty must be in [0, 1], "
+                f"rule {clipped(rule_id)}: uncertainty must be in [0, 1], "
                 f"got {printable(uncertainty)!r}"
             )
         certain = 1.0 - uncertainty
@@ -175,7 +177,7 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
         by_id: dict[str, RuleSpec] = {}
         for spec in rules:
             if spec.id in by_id:
-                raise InvalidValue(f"duplicate rule id {spec.id!r}")
+                raise InvalidValue(f"duplicate rule id {clipped(spec.id)}")
             by_id[spec.id] = spec
         return cls(by_id, combiner, threshold)
 

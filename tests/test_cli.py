@@ -1322,6 +1322,30 @@ _long_text = st.builds(
 _long_values = st.one_of(_long_text, _long_text.map(lambda text: [text]))
 
 
+# A fault for each check a config's rule or a model's likelihood can fail
+# whose message names the rule or likelihood id.
+_RULE_FAULTS = [
+    {"score": 2.0},
+    {"score": 0.5, "uncertainty": -1.0},
+    {"score": "high"},
+    {"m_fraud": -0.5, "m_genuine": 1.0},
+    {"m_fraud": 0.5, "m_genuine": 0.1},
+    {"score": 0.5, "description": 5},
+    {},
+    "duplicate",
+]
+_LIKELIHOOD_FAULTS = [
+    "neither",
+    {"p_given_fraud": "high", "p_given_genuine": 0.5},
+    {"p_given_fraud": 2.0, "p_given_genuine": 0.5},
+]
+
+
+def _csv_quoted(text):
+    """``text`` as a quoted csv field, which every Python's reader takes."""
+    return '"%s"' % text.replace('"', '""')
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_a_long_value_makes_a_short_message(tmp_path_factory, data):
@@ -1331,10 +1355,12 @@ def test_a_long_value_makes_a_short_message(tmp_path_factory, data):
     work.mkdir(exist_ok=True)
     field = data.draw(
         st.sampled_from(
-            ["threshold", "frame", "combiner", "score", "prior_fraud", "id", "--mass"]
+            ["threshold", "frame", "combiner", "score", "prior_fraud", "id", "--mass",
+             "rule id", "likelihood id", "label", "txn_id"]
         )
     )
     value = data.draw(_long_values)
+    text = value if isinstance(value, str) else value[0]
     config = {"rules": [{"id": "R0", "score": 0.5}]}
     model = dict(_MODEL)
     lines = [{"id": "t1", "triggered": ["R0"]}]
@@ -1346,18 +1372,34 @@ def test_a_long_value_makes_a_short_message(tmp_path_factory, data):
         config.update(combiner="bayes", model="model.json")
         model["prior_fraud"] = value
     elif field == "id":
-        text = value if isinstance(value, str) else value[0]
         lines = [{"id": text, "triggered": ["R0"]}] * 2
+    elif field == "rule id":
+        fault = data.draw(st.sampled_from(_RULE_FAULTS))
+        rule = {"id": text, "score": 0.5}
+        config["rules"] = [rule, rule] if fault == "duplicate" else [{"id": text, **fault}]
+    elif field == "likelihood id":
+        config.update(combiner="bayes", model="model.json")
+        fault = data.draw(st.sampled_from(_LIKELIHOOD_FAULTS))
+        model["likelihoods"] = {**model["likelihoods"], text: fault}
     paths = [write(work / "rules.json", json.dumps(config))]
     paths.append(write(work / "model.json", json.dumps(model)))
     paths.append(write(work / "batch.jsonl", "".join(json.dumps(r) + "\n" for r in lines)))
     argv = ["score", paths[0], paths[2]]
     if field == "--mass":
-        text = value if isinstance(value, str) else value[0]
         mass = data.draw(st.sampled_from([f"f={text},g=0.1", f"{text}=0.5,g=0.5", f"f=0.5,{text}"]))
         argv = ["combine", "--mass", mass, "--mass", "f=0.5,g=0.5"]
+    elif field in ("label", "txn_id"):
+        # A label that is never a valid one, or a txn_id labeled both ways.
+        rows = [f"t1,{_csv_quoted('x' + text)},R0"] if field == "label" else [
+            f"{_csv_quoted(text)},{label},R0" for label in ("fraud", "genuine")
+        ]
+        history = "txn_id,label,rule_id\n" + "\n".join(rows) + "\n"
+        paths.append(write(work / "history.csv", history))
+        argv = ["fit", paths[-1], str(work / "out.json")]
     status, out, err = run_main(argv)
     assert status in (0, 1, 2)
+    if field in ("rule id", "likelihood id", "label", "txn_id"):
+        assert status == 2, err
     if status == 2:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -1567,3 +1609,104 @@ def test_table_rows_match_the_f_string_table(tmp_path_factory, data):
     ranked, side = score_batch(ruleset, load_batch(batch))
     assert (status, err) == (0 if ranked else 1, "")
     assert out.splitlines() == _old_table(ranked, side, combiner, ruleset.threshold)
+
+
+# Ids for the csv report: every character csv.writer treats apart (comma,
+# quote, CR, LF, tab, NUL) and non-ASCII text, each drawn often. No private
+# use character: the round trip below lets one stand in for NUL.
+_csv_ids = st.text(
+    st.one_of(
+        st.characters(exclude_categories=("Cs", "Co")),
+        st.sampled_from([",", '"', "\r", "\n", "\t", "\x00", "é", " "]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def _batches_with_csv_ids(draw, ids):
+    """Batch lines with unique ids; some trigger nothing or an unknown rule,
+    so they become side rows."""
+    lines = []
+    for txn_id in draw(st.lists(ids, min_size=1, max_size=5, unique=True)):
+        triggered = draw(st.lists(st.sampled_from(_RULE_IDS + ["GONE"]), max_size=3))
+        lines.append(json.dumps({"id": txn_id, "triggered": triggered}))
+    return "\n".join(lines) + "\n"
+
+
+def _old_csv(ranked, side, combiner_name, threshold):
+    """The csv report as csv.writer wrote it, one row at a time."""
+    out = io.StringIO()
+    out.write(f"# combiner={combiner_name} threshold={threshold!r}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["rank", "id", "bel_fraud", "pl_fraud", "point_estimate", "conflict", "n_sources",
+         "suspicious", "confirmed", "status", "error"]
+    )
+    for r in ranked:
+        writer.writerow(
+            [r.rank, r.transaction_id, repr(r.bel_fraud), repr(r.pl_fraud),
+             repr(r.point_estimate), repr(r.conflict), r.n_sources,
+             json.dumps(r.suspicious), json.dumps(r.confirmed), "scored", ""]
+        )
+    for txn, status, error_name in side:
+        writer.writerow(
+            ["", txn.id, "", "", "", "", len(txn.triggered), "", "", status, error_name or ""]
+        )
+    return out.getvalue()
+
+
+def _writer_quotes_as_in_313(txn_id):
+    """Whether this Python's csv.writer prints ``txn_id`` as 3.13's does:
+    before 3.13 it leaves CR unquoted, and 3.10 cannot write NUL at all."""
+    if sys.version_info >= (3, 13):
+        return True
+    return "\r" not in txn_id and (sys.version_info >= (3, 11) or "\x00" not in txn_id)
+
+
+def _score_csv(work, data, ids):
+    """Score a drawn batch with --output csv: the run's status, stdout and
+    stderr, and the ranked reports, side rows and threshold it printed."""
+    work.mkdir(exist_ok=True)
+    write(work / "model.json", json.dumps(_MODEL))
+    combiner = data.draw(st.sampled_from(["ds-standard", "ds-paper", "bayes"]))
+    rules = [{"id": rule_id, "score": 0.6} for rule_id in _RULE_IDS]
+    document = {"combiner": combiner, "model": "model.json", "rules": rules}
+    config = write(work / "rules.json", json.dumps(document))
+    batch = write(work / "batch.jsonl", data.draw(_batches_with_csv_ids(ids)))
+    status, out, err = run_main(["score", config, batch, "--output", "csv"])
+    ruleset = load_rule_config(config)
+    ranked, side = score_batch(ruleset, load_batch(batch))
+    assert (status, err) == (0 if ranked else 1, "")
+    return out, ranked, side, combiner, ruleset.threshold
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_csv_rows_match_the_csv_writer_report(tmp_path_factory, data):
+    """The csv report equals csv.writer's byte for byte, scored rows and side
+    rows alike, for every id this Python's writer quotes as 3.13's does."""
+    work = tmp_path_factory.getbasetemp() / "csv"
+    ids = _csv_ids.filter(_writer_quotes_as_in_313)
+    out, ranked, side, combiner, threshold = _score_csv(work, data, ids)
+    assert out == _old_csv(ranked, side, combiner, threshold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_csv_report_reads_back_every_id_and_belief(tmp_path_factory, data):
+    """csv.reader reads each row's id back whole, CR and NUL included, and
+    each scored row's bel_fraud back as the report's float."""
+    work = tmp_path_factory.getbasetemp() / "csv-read"
+    out, ranked, side, _, _ = _score_csv(work, data, _csv_ids)
+    # csv.reader before 3.11 refuses NUL, so a private use character, which
+    # no drawn id holds, stands in for it while the report is read.
+    rows = list(csv.reader(io.StringIO(out.replace("\x00", "\ue000"), newline="")))
+    rows = [[cell.replace("\ue000", "\x00") for cell in row] for row in rows[2:]]
+    assert len(rows) == len(ranked) + len(side)
+    for row, r in zip(rows, ranked):
+        assert (row[0], row[1], row[9]) == (str(r.rank), r.transaction_id, "scored")
+        assert float(row[2]) == r.bel_fraud and float(row[4]) == r.point_estimate
+    for row, (txn, status, error_name) in zip(rows[len(ranked):], side):
+        assert (row[1], row[9], row[10]) == (txn.id, status, error_name or "")

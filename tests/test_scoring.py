@@ -766,15 +766,16 @@ _PLANTED = {"X-F": (1.0, 0.0, 0.0), "X-G": (0.0, 1.0, 0.0)}
 
 
 @st.composite
-def batches(draw):
-    """(ruleset, shuffled transactions) under ds-standard, ds-paper or bayes.
+def batches(draw, families=("ds-standard", "ds-paper", "bayes")):
+    """(ruleset, shuffled transactions) under one of ``families``: ds-standard,
+    ds-paper or bayes.
 
     Triggers mix configured rules, an unknown one ("GONE") and the planted
     pair; empty lists are skipped. Under bayes the model leaves R3 out, so
     a transaction triggering it raises UnknownEvidence. Ids come from a
     small pool, so a batch can hold one id twice.
     """
-    family = draw(st.sampled_from(["ds-standard", "ds-paper", "bayes"]))
+    family = draw(st.sampled_from(families))
     triples = {f"R{i}": draw(st.sampled_from(_TRIPLES)) for i in range(5)}
     triples.update(_PLANTED)
     rules = [RuleSpec(rule_id, *masses) for rule_id, masses in triples.items()]
@@ -806,6 +807,23 @@ class TestScoreBatch:
     def test_equals_score_then_rank(self, case):
         ruleset, transactions = case
         assert score_batch(ruleset, transactions) == score_then_rank(ruleset, transactions)
+
+    @pytest.mark.parametrize("family", ["ds-standard", "ds-paper", "bayes"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_point_estimate_is_bel_fraud(self, family, data):
+        """Every report, from score_batch and from score, holds one float as
+        both bel_fraud and point_estimate: the csv and jsonl reports print
+        its text once for both."""
+        ruleset, transactions = data.draw(batches((family,)))
+        reports, _ = score_batch(ruleset, transactions)
+        for txn in transactions:
+            try:
+                reports.append(score(ruleset, txn))
+            except FusionError:
+                pass
+        for r in reports:
+            assert r.point_estimate is r.bel_fraud
 
     def test_covers_every_outcome(self):
         planted = [RuleSpec(rule_id, *masses) for rule_id, masses in _PLANTED.items()]
