@@ -6,8 +6,10 @@ each run's expected stdout and exit code (and, for ``fit``, model file).
 
 ``tests/test_golden.py`` reruns every case and compares bytes. The inputs
 are small batches from ``bench/generate.py``; the triage-ds batch plants a
-skipped transaction and a TotalConflict pair. The odd-ids inputs are
-written by hand, with ids that csv quotes, and ``--inputs`` keeps them. A
+skipped transaction and a TotalConflict pair. The odd-ids and deep-bayes
+inputs are written by hand, and ``--inputs`` keeps them: odd-ids has ids
+that csv quotes, and deep-bayes has long Bayes products and zero
+likelihoods. A
 change that alters output on purpose reruns this script and records the
 change in CHANGES.md.
 """
@@ -48,10 +50,14 @@ def cases() -> dict[str, list[str]]:
         runs[f"{name}.fit"] = ["fit", history, "model.json", "--smoothing", SMOOTHING[name]]
     runs["triage-ds.score.paper"] = [*runs["triage-ds.score.table"], "--mode", "paper"]
     runs["ingest-payload.score.standard"] = [*runs["ingest-payload.score.csv"], "--mode", "standard"]
-    # Hand-written ids that csv must quote, jsonl escape and table escape or pad.
-    odd = [str(GOLDEN / "odd-ids" / "rules.json"), str(GOLDEN / "odd-ids" / "batch.jsonl")]
-    for output in ("table", "csv", "jsonl"):
-        runs[f"odd-ids.score.{output}"] = ["score", *odd, "--output", output]
+    # Hand-written inputs: odd-ids has ids that csv must quote, jsonl escape
+    # and table escape or pad; deep-bayes has Bayes products that end below
+    # 2**-600 on either side or both, straight products, zero likelihoods and
+    # a ZeroMarginal row.
+    for name in ("odd-ids", "deep-bayes"):
+        inputs = [str(GOLDEN / name / "rules.json"), str(GOLDEN / name / "batch.jsonl")]
+        for output in ("table", "csv", "jsonl"):
+            runs[f"{name}.score.{output}"] = ["score", *inputs, "--output", output]
     pair = ["--mass", "f=0.6,g=0.3,u=0.1", "--mass", "f=0.2,g=0.5,u=0.3"]
     runs["combine.standard"] = ["combine", *pair]
     runs["combine.paper"] = ["combine", *pair, "--mode", "paper"]
