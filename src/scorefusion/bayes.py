@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
+from operator import itemgetter
 
 from .errors import (
     DegenerateClass,
@@ -33,6 +34,8 @@ _RESCALE = 2.0**_RESCALE_EXP
 _ZERO_MARGINAL = (
     "both class products vanished; refit with smoothing > 0 to avoid zero likelihoods"
 )
+# A likelihood pair's P(E|fraud) and P(E|genuine).
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class EvidenceCounts(namedtuple("EvidenceCounts", "fraud genuine")):
@@ -109,7 +112,8 @@ def _check_count(name: str, count: object) -> None:
 
 
 class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods smoothing")):
-    """Fitted priors and per-evidence likelihoods. Immutable once fitted."""
+    """Fitted priors and per-evidence likelihoods. Immutable once fitted.
+    Every number is stored as a float once checked, as load_model reads it."""
 
     __slots__ = ()
 
@@ -133,7 +137,9 @@ class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods
             if not (0.0 <= pair.p_given_fraud <= 1.0 and 0.0 <= pair.p_given_genuine <= 1.0):
                 shown = Likelihood(*map(printable, pair))
                 raise InvalidValue(f"evidence {clipped(eid)} likelihoods {shown} outside [0, 1]")
-        return tuple.__new__(cls, (prior_fraud, prior_genuine, likelihoods, smoothing))
+            likelihoods[eid] = Likelihood(*map(float, pair))
+        fields = float(prior_fraud), float(prior_genuine), likelihoods, float(smoothing)
+        return tuple.__new__(cls, fields)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -224,6 +230,14 @@ def posterior_binary(
     or 1, and both products zero raises ZeroMarginal. The caller resolves
     and orders the ids; :func:`posterior` sorts them.
     """
+    pairs = list(pairs)
+    # Each product straight through first. Every prior and likelihood is in
+    # [0, 1], so a running product never grows, even rounded: one that ends
+    # at or above _TINY was never rescaled, and the quotient is the same bits.
+    fraud = math.prod(map(_first, pairs), start=prior_fraud)
+    genuine = math.prod(map(_second, pairs), start=prior_genuine)
+    if fraud >= _TINY and genuine >= _TINY:
+        return fraud / (fraud + genuine)
     fraud = prior_fraud
     genuine = prior_genuine
     shift = 0  # rescales of the fraud product minus those of the genuine one

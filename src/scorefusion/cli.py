@@ -184,12 +184,12 @@ def _print_fit_summary(history: LabeledHistory, model: BayesModel, out_path: str
         f"smoothing={model.smoothing:g}"
     )
     if model.likelihoods:
-        width = max(len(eid) for eid in model.likelihoods)
-        width = max(width, len("rule"))
+        rows = [(_table_id(eid), pair) for eid, pair in sorted(model.likelihoods.items())]
+        width = max(len("rule"), *(len(shown) for shown, _ in rows))
         print(f"{'rule':<{width}}  p_given_fraud  p_given_genuine")
-        for eid, likelihood in sorted(model.likelihoods.items()):
+        for shown, likelihood in rows:
             print(
-                f"{eid:<{width}}  {likelihood.p_given_fraud:>13.4f}  "
+                f"{shown:<{width}}  {likelihood.p_given_fraud:>13.4f}  "
                 f"{likelihood.p_given_genuine:>15.4f}"
             )
     print(f"model written to {out_path}")

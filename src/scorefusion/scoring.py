@@ -7,13 +7,12 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
-from math import inf, isfinite, prod
-from operator import itemgetter
+from math import inf, isfinite
 
 # posterior is no longer called here, but it stays a module attribute beside
 # masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
 # three by name.
-from .bayes import _TINY, BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
+from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
 from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule, clipped, printable
 # NORMALIZATION_TOLERANCE stays a module attribute beside RuleSpec.
 from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary  # noqa: F401
@@ -338,10 +337,6 @@ def score_batch(
     return rows, side
 
 
-# A likelihood pair's P(E|fraud) and P(E|genuine).
-_first, _second = itemgetter(0), itemgetter(1)
-
-
 def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float, int]]:
     """The ruleset's fusion of one transaction, chosen once per combiner:
     (bel, pl, conflict, n_sources), where bel is also the point estimate.
@@ -356,29 +351,20 @@ def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float
         pair_of = ruleset.pairs.__getitem__
 
         def fold_bayes(txn: Transaction) -> tuple[float, float, float, int]:
-            # The compiled pairs in posterior's sorted id order. Only when a
-            # lookup fails, or nothing fired, are the ids checked the slow
-            # way, so that the errors and messages are those of the generic
-            # path, the model's UnknownEvidence last.
-            try:
-                found = list(map(pair_of, sorted(txn.triggered)))
-            except KeyError:
-                found = []
-            if not found:
-                _triggered(ruleset.rules, txn)
-                resolve_ids(model, txn.triggered)
-            else:
-                # posterior_binary's products, one C call each. Every prior
-                # and likelihood is in [0, 1], so a running product never
-                # grows, even rounded: a final product at or above _TINY was
-                # never rescaled, and the quotient is posterior_binary's.
-                fraud = prod(map(_first, found), start=prior_fraud)
-                genuine = prod(map(_second, found), start=prior_genuine)
-                if fraud >= _TINY and genuine >= _TINY:
-                    p_fraud = fraud / (fraud + genuine)
-                    return p_fraud, p_fraud, 0.0, len(found)
-            p_fraud = posterior_binary(prior_fraud, prior_genuine, found)
-            return p_fraud, p_fraud, 0.0, len(found)
+            # posterior_binary lists the compiled pairs in posterior's sorted
+            # id order. A pair is missing only for an unknown rule or an id the
+            # model lacks: then, or when nothing fired, the generic checks
+            # raise their errors and messages, the model's UnknownEvidence last.
+            if txn.triggered:
+                pairs = map(pair_of, sorted(txn.triggered))
+                try:
+                    p_fraud = posterior_binary(prior_fraud, prior_genuine, pairs)
+                except KeyError:
+                    pass
+                else:
+                    return p_fraud, p_fraud, 0.0, len(txn.triggered)
+            _triggered(ruleset.rules, txn)
+            resolve_ids(model, txn.triggered)
 
         return fold_bayes
 

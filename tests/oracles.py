@@ -5,9 +5,12 @@ sets are label frozensets, enumeration walks the full power set, and the
 exact oracles run on rational arithmetic.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import fsum
+
+from scorefusion.errors import ZeroMarginal
 
 
 def powerset(labels):
@@ -112,3 +115,41 @@ def exact_posterior(prior_fraud, likelihood_pairs):
         numerator_genuine *= Fraction(p_genuine)
     marginal = numerator_fraud + numerator_genuine
     return numerator_fraud / marginal, marginal
+
+
+# rescaled_posterior multiplies a running product by 2**_RESCALE_EXP once it
+# falls below _TINY. A power of two scales a normal double exactly.
+_RESCALE_EXP = 600
+_TINY = 2.0**-_RESCALE_EXP
+_RESCALE = 2.0**_RESCALE_EXP
+
+
+def rescaled_posterior(prior_fraud, prior_genuine, pairs):
+    """P(fraud) by the rescaled float loop, one factor at a time.
+
+    A copy of ``bayes.posterior_binary``'s rescaled loop, run on every input,
+    so that its straight-product path is checked against a loop it does not
+    share.
+    """
+    fraud = prior_fraud
+    genuine = prior_genuine
+    shift = 0  # rescales of the fraud product minus those of the genuine one
+    for p_fraud, p_genuine in pairs:
+        fraud *= p_fraud
+        genuine *= p_genuine
+        if fraud < _TINY:
+            fraud *= _RESCALE
+            shift += 1
+        if genuine < _TINY:
+            genuine *= _RESCALE
+            shift -= 1
+    if shift > 0:
+        fraud = math.ldexp(fraud, -_RESCALE_EXP * shift)
+    elif shift < 0:
+        genuine = math.ldexp(genuine, _RESCALE_EXP * shift)
+    marginal = fraud + genuine
+    if marginal <= 0.0:
+        raise ZeroMarginal(
+            "both class products vanished; refit with smoothing > 0 to avoid zero likelihoods"
+        )
+    return fraud / marginal

@@ -105,6 +105,21 @@ class TestFit:
         assert model.smoothing == 1.0
         assert model.likelihoods["E1"].p_given_fraud == pytest.approx(5 / 9)
 
+    def test_summary_escapes_an_id_that_would_break_its_table(self, capsys, tmp_path):
+        history = write(
+            tmp_path / "h.csv",
+            'txn_id,label,rule_id\nt1,fraud,"ab\ncd"\nt2,genuine,c\tx\nt2,genuine,E1\n',
+        )
+        argv = ["fit", history, str(tmp_path / "m.json"), "--smoothing", "1"]
+        status, out, _ = run_cli(capsys, *argv)
+        assert status == 0
+        assert out.splitlines()[2:-1] == [
+            "rule    p_given_fraud  p_given_genuine",
+            "E1             0.3333           0.6667",
+            "ab\\ncd         0.6667           0.3333",
+            "c\\tx           0.3333           0.6667",
+        ]
+
     def test_empty_file_exits_2(self, capsys, tmp_path):
         history = write(tmp_path / "h.csv", "")
         status, _, err = run_cli(capsys, "fit", history, str(tmp_path / "m.json"))

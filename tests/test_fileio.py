@@ -24,7 +24,7 @@ from scorefusion import (
     fit,
     posterior,
 )
-from scorefusion.bayes import EvidenceCounts, LabeledHistory
+from scorefusion.bayes import BayesModel, EvidenceCounts, LabeledHistory
 from scorefusion.errors import EmptyHistory, ParseError
 from scorefusion.fileio import (
     _read_batch,
@@ -309,6 +309,23 @@ class TestModelFile:
         loaded = load_model(path)
         assert loaded == model
         assert posterior(loaded, {"E1", "E2"}) == posterior(model, {"E1", "E2"})
+
+    @pytest.mark.parametrize(
+        "prior_fraud, prior_genuine, pair, smoothing",
+        [(True, False, (True, 0.2), True), (0, 1, (1, 0), 2)],
+        ids=["bools", "ints"],
+    )
+    def test_a_model_of_bools_or_ints_round_trips_as_floats(
+        self, tmp_path, prior_fraud, prior_genuine, pair, smoothing
+    ):
+        model = BayesModel(prior_fraud, prior_genuine, {"e": pair}, smoothing)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded == model
+        for record in (model, loaded):
+            numbers = [*record[:2], *record.likelihoods["e"], record.smoothing]
+            assert [type(number) for number in numbers] == [float] * 5
 
     def test_leading_byte_order_mark_is_skipped(self, history_csv, tmp_path):
         path = tmp_path / "model.json"

@@ -41,7 +41,7 @@ from scorefusion.errors import (
     ZeroMarginal,
 )
 
-from oracles import exact_posterior
+from oracles import exact_posterior, rescaled_posterior
 
 FRAUD = FRAUD_FRAME.singleton("fraud")
 OMEGA = FRAUD_FRAME.omega
@@ -387,7 +387,7 @@ class TestScoreBayesFold:
         ruleset, model = bayes_ruleset(prior, pairs)
         fraud = math.prod([f for f, _ in pairs.values()], start=prior)
         genuine = math.prod([g for _, g in pairs.values()], start=model.prior_genuine)
-        expected = posterior_binary(prior, model.prior_genuine, pairs.values())
+        expected = rescaled_posterior(prior, model.prior_genuine, pairs.values())
         assert fraud / (fraud + genuine) != expected
         assert score(ruleset, Transaction("t", ("E3", "E1", "E2"))).point_estimate == expected
 
@@ -456,8 +456,8 @@ class TestScoreBayesFold:
 
 def _old_fold_bayes(ruleset, txn):
     """The Bayes fold as it was before it multiplied each likelihood column
-    with math.prod: every transaction's compiled pairs through
-    posterior_binary."""
+    with math.prod: every transaction's compiled pairs through the rescaled
+    loop, here the oracle's copy of it."""
     model = ruleset.combiner.model
     pairs = ruleset.pairs
     try:
@@ -467,7 +467,7 @@ def _old_fold_bayes(ruleset, txn):
     if not found:
         scoring._triggered(ruleset.rules, txn)
         resolve_ids(model, txn.triggered)
-    p_fraud = posterior_binary(model.prior_fraud, model.prior_genuine, found)
+    p_fraud = rescaled_posterior(model.prior_fraud, model.prior_genuine, found)
     return p_fraud, p_fraud, 0.0, len(found)
 
 
@@ -513,6 +513,15 @@ def test_bayes_fold_equals_the_posterior_binary_fold(data):
     else:
         # repr tells every float apart, -0.0 from 0.0 included
         assert repr(scoring._fold(ruleset)(txn)) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(0.6, 0.2), (0.1, 0.4)], [(2.0**-10, 0.5)] * 80], ids=["straight", "rescaled"]
+)
+def test_posterior_binary_reads_a_generator_as_a_list(pairs):
+    # The products read the pairs more than once.
+    from_generator = posterior_binary(0.3, 0.7, (pair for pair in pairs))
+    assert repr(from_generator) == repr(posterior_binary(0.3, 0.7, pairs))
 
 
 class TestSlottedRecords:
