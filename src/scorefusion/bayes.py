@@ -14,6 +14,7 @@ from collections.abc import Iterable, Mapping
 from operator import itemgetter
 
 from .errors import (
+    LARGEST,
     DegenerateClass,
     EmptyHistory,
     InvalidValue,
@@ -22,6 +23,7 @@ from .errors import (
     UnknownEvidence,
     ZeroMarginal,
     clipped,
+    in_range,
     printable,
 )
 
@@ -124,22 +126,21 @@ class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods
         likelihoods: Mapping[str, Likelihood],
         smoothing: float = 0.0,
     ) -> BayesModel:
-        check_smoothing(smoothing)
-        for name, prior in (("prior_fraud", prior_fraud), ("prior_genuine", prior_genuine)):
-            if not 0.0 <= prior <= 1.0:
-                raise InvalidValue(f"{name} {printable(prior)!r} outside [0, 1]")
+        smoothing = in_range("smoothing", smoothing, LARGEST)
+        prior_fraud = in_range("prior_fraud", prior_fraud, 1.0)
+        prior_genuine = in_range("prior_genuine", prior_genuine, 1.0)
         if abs(prior_fraud + prior_genuine - 1.0) > 1e-12:
             raise InvalidValue(f"priors {prior_fraud!r} + {prior_genuine!r} do not sum to 1")
         likelihoods = {
             eid: _pair(Likelihood, eid, pair) for eid, pair in dict(likelihoods).items()
         }
-        for eid, pair in likelihoods.items():
-            if not (0.0 <= pair.p_given_fraud <= 1.0 and 0.0 <= pair.p_given_genuine <= 1.0):
-                shown = Likelihood(*map(printable, pair))
-                raise InvalidValue(f"evidence {clipped(eid)} likelihoods {shown} outside [0, 1]")
-            likelihoods[eid] = Likelihood(*map(float, pair))
-        fields = float(prior_fraud), float(prior_genuine), likelihoods, float(smoothing)
-        return tuple.__new__(cls, fields)
+        for eid, (p_fraud, p_genuine) in likelihoods.items():
+            where = f"evidence {clipped(eid)}"
+            likelihoods[eid] = Likelihood(
+                in_range(f"{where}: p_given_fraud", p_fraud, 1.0),
+                in_range(f"{where}: p_given_genuine", p_genuine, 1.0),
+            )
+        return tuple.__new__(cls, (prior_fraud, prior_genuine, likelihoods, smoothing))
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
@@ -158,7 +159,7 @@ def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:
     class that never occurs leaves the likelihoods undefined, so both classes
     must be present.
     """
-    smoothing = float(check_smoothing(smoothing))
+    smoothing = in_range("smoothing", smoothing, LARGEST)
     frauds = history.fraud_count
     genuines = history.genuine_count
     if smoothing == 0.0 and (frauds == 0 or genuines == 0):
@@ -182,17 +183,6 @@ def fit(history: LabeledHistory, smoothing: float = 0.0) -> BayesModel:
         likelihoods=likelihoods,
         smoothing=smoothing,
     )
-
-
-def check_smoothing(smoothing: float) -> float:
-    """Return ``smoothing`` if it is finite and >= 0, else raise InvalidValue."""
-    try:
-        valid = math.isfinite(smoothing) and smoothing >= 0.0
-    except OverflowError:  # an int too large for a float
-        valid, smoothing = False, printable(smoothing)
-    if not valid:
-        raise InvalidValue(f"smoothing must be finite and >= 0, got {smoothing!r}")
-    return smoothing
 
 
 def posterior(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:
@@ -222,13 +212,13 @@ def posterior_binary(
 
     The same product as :func:`posterior`, in input order, except that each
     running product is multiplied by 2**600 whenever it falls below 2**-600,
-    and the two are brought back to a common scale with one exact ``ldexp``
-    at the end. The result therefore equals ``posterior(...).p_fraud`` bit
-    for bit wherever that product stays normal, and neither product
-    underflows, however many pairs there are, while every nonzero prior and
-    likelihood is at least 2**-400. A zero likelihood still gives exactly 0
-    or 1, and both products zero raises ZeroMarginal. The caller resolves
-    and orders the ids; :func:`posterior` sorts them.
+    and the quotient is taken at a common scale before that scale is undone.
+    The result therefore equals ``posterior(...).p_fraud`` bit for bit
+    wherever that product stays normal, and neither product nor a normal
+    posterior underflows, however many pairs there are, while every nonzero
+    prior and likelihood is at least 2**-400. A zero likelihood still gives
+    exactly 0 or 1, and both products zero raises ZeroMarginal. The caller
+    resolves and orders the ids; :func:`posterior` sorts them.
     """
     pairs = list(pairs)
     # Each product straight through first. Every prior and likelihood is in
@@ -250,9 +240,13 @@ def posterior_binary(
         if genuine < _TINY:
             genuine *= _RESCALE
             shift -= 1
-    if shift > 0:
-        fraud = math.ldexp(fraud, -_RESCALE_EXP * shift)
-    elif shift < 0:
+    # A zero product stays at its own scale, and the quotient is exactly 0 or 1.
+    if shift > 0 and genuine:
+        # The quotient at the genuine product's scale, then that scale undone:
+        # the fraud product, scaled down first, would round away its bits.
+        scale = -_RESCALE_EXP * shift
+        return math.ldexp(fraud / (math.ldexp(fraud, scale) + genuine), scale)
+    if shift < 0 and fraud:
         genuine = math.ldexp(genuine, _RESCALE_EXP * shift)
     marginal = fraud + genuine
     if marginal <= 0.0:

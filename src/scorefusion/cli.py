@@ -17,8 +17,9 @@ from collections.abc import Sequence
 from contextlib import closing
 from json.encoder import encode_basestring_ascii
 
-from .bayes import BayesModel, LabeledHistory, check_smoothing, fit
-from .errors import DegenerateClass, FusionError, ParseError, TotalConflict, clipped
+from .bayes import BayesModel, LabeledHistory, fit
+from .errors import LARGEST, DegenerateClass, FusionError, ParseError, TotalConflict, clipped
+from .errors import in_range
 from .fileio import _read_batch, load_history_csv, load_rule_config, save_model
 from .kernel import combine_binary
 from .scoring import (
@@ -59,7 +60,7 @@ _CSV_SIDE = ",%s,,,,,%d,,,%s,%s\n"
 
 def _smoothing_arg(text: str) -> float:
     try:
-        return check_smoothing(float(text))
+        return in_range("smoothing", float(text), LARGEST)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -235,14 +236,14 @@ def _apply_overrides(ruleset: RuleSet, args: argparse.Namespace) -> RuleSet:
         raise ParseError("--mode does not apply to the bayes combiner")
     if args.mode and args.combiner is None and not dempster:
         raise ParseError("--mode only applies to a Dempster combiner; use --combiner ds")
-    if args.threshold is not None and not 0.0 <= args.threshold <= 1.0:
-        raise ParseError(f"--threshold must be in [0, 1], got {args.threshold!r}")
+    threshold = ruleset.threshold
+    if args.threshold is not None:
+        threshold = in_range("--threshold", args.threshold, 1.0)
     combiner = ruleset.combiner
     if args.mode:
         combiner = DempsterCombiner(_MODES[args.mode])
     elif args.combiner == "ds" and not dempster:
         combiner = DempsterCombiner()
-    threshold = ruleset.threshold if args.threshold is None else args.threshold
     if combiner == ruleset.combiner and threshold == ruleset.threshold:
         return ruleset
     return RuleSet(ruleset.rules, combiner, threshold)

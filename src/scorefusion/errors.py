@@ -1,5 +1,9 @@
 """Domain errors. Everything this package raises on bad input derives from FusionError."""
 
+import sys
+
+LARGEST = sys.float_info.max  # in_range's ``high`` for a number that need only be finite
+
 
 class FusionError(ValueError):
     """Base class for all scorefusion errors."""
@@ -100,3 +104,15 @@ def clipped(value: object) -> str:
     longer. So a message stays one short line however long the value."""
     text = repr(printable(value))
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
+def in_range(what: str, value: object, high: float) -> float:
+    """``value`` as a float once ``0 <= value <= high`` holds, else InvalidValue
+    naming ``what``: ``high`` is 1.0 for a probability or a threshold and
+    LARGEST for a mass or a smoothing. That one comparison also fails NaN, an
+    infinity and an int too large for a float. A zero is returned as 0.0, -0.0
+    too, so that no report or model file prints its sign."""
+    if not 0.0 <= value <= high:
+        rule = "be in [0, 1]" if high == 1.0 else "be finite and >= 0"
+        raise InvalidValue(f"{what} must {rule}, got {printable(value)!r}")
+    return float(value) + 0.0

@@ -7,13 +7,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
-from math import inf, isfinite
 
 # posterior is no longer called here, but it stays a module attribute beside
 # masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
 # three by name.
 from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
-from .errors import FusionError, InvalidValue, NoEvidence, UnknownRule, clipped, printable
+from .errors import LARGEST, FusionError, InvalidValue, NoEvidence, UnknownRule, clipped
+from .errors import in_range, printable
 # NORMALIZATION_TOLERANCE stays a module attribute beside RuleSpec.
 from .kernel import NORMALIZATION_TOLERANCE, CombinationMode, combine_binary  # noqa: F401
 from .kernel import normalize
@@ -61,19 +61,15 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
     ) -> RuleSpec:
         if not id:
             raise InvalidValue("rule id must be non-empty")
-        masses = (m_fraud, m_genuine, m_uncertain)
-        for name, value in zip(("m_fraud", "m_genuine", "m_uncertain"), masses):
-            try:
-                valid = isfinite(value) and value >= 0.0
-            except OverflowError:  # an int too large for a float
-                valid, value = False, inf if value > 0 else -inf
-            if not valid:
-                raise InvalidValue(
-                    f"rule {clipped(id)}: {name} must be finite and >= 0, got {value!r}"
-                )
-        total, floats = normalize([float(m) if m > 0.0 else 0.0 for m in masses])
+        rule = f"rule {clipped(id)}"
+        masses = [
+            in_range(f"{rule}: m_fraud", m_fraud, LARGEST),
+            in_range(f"{rule}: m_genuine", m_genuine, LARGEST),
+            in_range(f"{rule}: m_uncertain", m_uncertain, LARGEST),
+        ]
+        total, floats = normalize(masses)
         if floats is None:
-            raise InvalidValue(f"rule {clipped(id)}: masses sum to {total!r}, expected 1")
+            raise InvalidValue(f"{rule}: masses sum to {total!r}, expected 1")
         return tuple.__new__(cls, (id, *floats, description))
 
     # What _replace builds with, so that it checks what the constructor checks.
@@ -87,15 +83,9 @@ class RuleSpec(namedtuple("RuleSpec", "id m_fraud m_genuine m_uncertain descript
         uncertainty: float = 0.0,
         description: str = "",
     ) -> RuleSpec:
-        if not 0.0 <= score <= 1.0:  # also rejects NaN
-            raise InvalidValue(
-                f"rule {clipped(rule_id)}: score must be in [0, 1], got {printable(score)!r}"
-            )
-        if not 0.0 <= uncertainty <= 1.0:
-            raise InvalidValue(
-                f"rule {clipped(rule_id)}: uncertainty must be in [0, 1], "
-                f"got {printable(uncertainty)!r}"
-            )
+        rule = f"rule {clipped(rule_id)}"
+        score = in_range(f"{rule}: score", score, 1.0)
+        uncertainty = in_range(f"{rule}: uncertainty", uncertainty, 1.0)
         certain = 1.0 - uncertainty
         return cls(rule_id, score * certain, (1.0 - score) * certain, uncertainty, description)
 
@@ -135,8 +125,7 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
     the closed-form fold. Under a Bayes combiner, ``pairs`` holds the
     model's (p_given_fraud, p_given_genuine) for each rule the model knows,
     for the rescaled posterior product. Both are compiled from the other
-    fields, also under ``_replace``, and never passed in. A
-    threshold of -0.0 is stored as 0.0, so that no report prints its sign.
+    fields, also under ``_replace``, and never passed in.
     """
 
     __slots__ = ()
@@ -148,15 +137,14 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
         for rule_id, spec in rules.items():
             if rule_id != spec.id:
                 raise InvalidValue(f"rule key {rule_id!r} does not match spec id {spec.id!r}")
-        if not 0.0 <= threshold <= 1.0:
-            raise InvalidValue(f"threshold must be in [0, 1], got {printable(threshold)!r}")
+        threshold = in_range("threshold", threshold, 1.0)
         triples, pairs = {}, {}
         if isinstance(combiner, BayesCombiner):
             likelihoods = combiner.model.likelihoods
             pairs = {rule_id: likelihoods[rule_id] for rule_id in rules if rule_id in likelihoods}
         else:
             triples = {rule_id: spec[1:4] for rule_id, spec in rules.items()}
-        return tuple.__new__(cls, (rules, combiner, threshold + 0.0, triples, pairs))
+        return tuple.__new__(cls, (rules, combiner, threshold, triples, pairs))
 
     @classmethod
     def _make(cls, fields: Iterable) -> RuleSet:  # _replace: recompiles the tables
@@ -249,8 +237,7 @@ def classify(bel_fraud: float, pl_fraud: float, threshold: float) -> Classificat
         if bel_fraud > pl_fraud:
             raise InvalidValue(f"bel {bel!r} exceeds pl {pl!r}")
         raise InvalidValue(f"invalid belief interval [{bel!r}, {pl!r}]")
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidValue(f"threshold must be in [0, 1], got {printable(threshold)!r}")
+    threshold = in_range("threshold", threshold, 1.0)
     return ClassificationFlags(
         suspicious=pl_fraud > threshold, confirmed=bel_fraud > threshold
     )

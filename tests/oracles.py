@@ -143,9 +143,10 @@ def rescaled_posterior(prior_fraud, prior_genuine, pairs):
         if genuine < _TINY:
             genuine *= _RESCALE
             shift -= 1
-    if shift > 0:
-        fraud = math.ldexp(fraud, -_RESCALE_EXP * shift)
-    elif shift < 0:
+    if shift > 0 and genuine:
+        scale = -_RESCALE_EXP * shift
+        return math.ldexp(fraud / (math.ldexp(fraud, scale) + genuine), scale)
+    if shift < 0 and fraud:
         genuine = math.ldexp(genuine, _RESCALE_EXP * shift)
     marginal = fraud + genuine
     if marginal <= 0.0:

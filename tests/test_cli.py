@@ -105,6 +105,14 @@ class TestFit:
         assert model.smoothing == 1.0
         assert model.likelihoods["E1"].p_given_fraud == pytest.approx(5 / 9)
 
+    def test_negative_zero_smoothing_is_stored_as_zero(self, capsys, tmp_path, history_csv):
+        model_path = tmp_path / "model.json"
+        argv = ["fit", str(history_csv), str(model_path), "--smoothing", "-0"]
+        status, out, _ = run_cli(capsys, *argv)
+        assert status == 0
+        assert out.splitlines()[1].endswith("  smoothing=0")
+        assert '"smoothing": 0.0,' in model_path.read_text(encoding="utf-8")
+
     def test_summary_escapes_an_id_that_would_break_its_table(self, capsys, tmp_path):
         history = write(
             tmp_path / "h.csv",
@@ -378,6 +386,39 @@ class TestScore:
             status, out, _ = run_cli(capsys, *argv)
             assert status == 0
             assert out.splitlines()[0] == header
+
+    @pytest.mark.parametrize(
+        ("output", "row"),
+        [
+            ("csv", "1,t1,0.0,0.0,0.0,0.0,1,false,false,scored,"),
+            (
+                "jsonl",
+                '{"rank": 1, "id": "t1", "bel_fraud": 0.0, "pl_fraud": 0.0, '
+                '"point_estimate": 0.0, "conflict": 0.0, "n_sources": 1, "suspicious": false, '
+                '"confirmed": false, "status": "scored"}',
+            ),
+        ],
+        ids=["csv", "jsonl"],
+    )
+    @pytest.mark.parametrize("field", ["prior_fraud", "p_given_fraud"])
+    def test_negative_zero_in_the_model_scores_as_zero(
+        self, capsys, tmp_path, output, row, field
+    ):
+        model = json.loads(json.dumps(_MODEL))
+        if field == "prior_fraud":
+            model.update(prior_fraud=-0.0, prior_genuine=1.0)
+        else:
+            model["likelihoods"]["R0"]["p_given_fraud"] = -0.0
+        write(tmp_path / "model.json", json.dumps(model))
+        rules = [{"id": "R0", "score": 0.5}]
+        config = write(
+            tmp_path / "rules.json",
+            json.dumps({"combiner": "bayes", "model": "model.json", "rules": rules}),
+        )
+        batch = write(tmp_path / "batch.jsonl", '{"id": "t1", "triggered": ["R0"]}\n')
+        status, out, _ = run_cli(capsys, "score", config, batch, "--output", output)
+        assert status == 0
+        assert out.splitlines()[-1] == row
 
     def test_bayes_config_scoring(self, capsys, tmp_path, history_csv):
         model_path = tmp_path / "model.json"

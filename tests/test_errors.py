@@ -105,6 +105,22 @@ def test_files_are_named_in_one_place():
     assert strays == []
 
 
+# The modules that may catch OverflowError, each around a float conversion
+# of its own: printable's, MassFunction's, fileio._number's and the fsum in
+# kernel.normalize. Every other range check is errors.in_range's one
+# comparison, which needs no handler.
+OVERFLOW_CATCHERS = {"errors.py", "evidence.py", "fileio.py", "kernel.py"}
+
+
+def test_overflow_is_caught_only_where_listed():
+    strays = []
+    for path in SOURCES:
+        for function, name, line in caught_names(ast.parse(path.read_text(encoding="utf-8"))):
+            if name in ("OverflowError", "ArithmeticError") and path.name not in OVERFLOW_CATCHERS:
+                strays.append(f"{path.name}:{line}: {function}() catches {name}")
+    assert strays == []
+
+
 @pytest.mark.parametrize(
     "rule, prior_fraud, message",
     [

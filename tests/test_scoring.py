@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -40,6 +41,7 @@ from scorefusion.errors import (
     UnknownRule,
     ZeroMarginal,
 )
+from scorefusion.fileio import load_model
 
 from oracles import exact_posterior, rescaled_posterior
 
@@ -391,6 +393,18 @@ class TestScoreBayesFold:
         assert fraud / (fraud + genuine) != expected
         assert score(ruleset, Transaction("t", ("E3", "E1", "E2"))).point_estimate == expected
 
+    def test_a_product_rescaled_alone_keeps_a_normal_posterior(self):
+        # The fraud product ends one rescale below the genuine one, and the
+        # posterior, about 7.8e-226, is a normal double: scaled back before
+        # the quotient, that product fell below the smallest subnormal.
+        model = load_model(Path(__file__).parent / "golden" / "deep-bayes" / "model.json")
+        ids = [f"F{i:02d}" for i in range(80)] + [f"G{i:02d}" for i in range(28)]
+        pairs = [model.likelihoods[eid] for eid in ids] + [(1e-10, 0.9)]
+        expected, _ = exact_posterior(Fraction(model.prior_fraud), pairs)
+        assert posterior_binary(model.prior_fraud, model.prior_genuine, pairs) == pytest.approx(
+            float(expected), rel=1e-12, abs=0.0
+        )
+
     def test_zero_likelihood_gives_exact_bounds(self):
         ruleset, _ = bayes_ruleset(
             0.4, {"E1": (0.0, 0.3), "E2": (0.7, 0.0), "E3": (0.5, 0.5)}
@@ -404,12 +418,15 @@ class TestScoreBayesFold:
         assert str(folded.value) == str(generic.value)
 
     def test_zero_likelihood_survives_a_long_fold(self):
+        # The last two pairs decay one product far below the other, which the
+        # zero then meets rescaled hundreds of times less or more.
         ids = [f"S{i:04d}" for i in range(1000)]
-        likelihoods = {eid: (0.3, 0.2) for eid in ids}
-        ruleset, _ = bayes_ruleset(0.5, {**likelihoods, "Z": (0.0, 0.5)})
-        assert score(ruleset, Transaction("t", (*ids, "Z"))).point_estimate == 0.0
-        ruleset, _ = bayes_ruleset(0.5, {**likelihoods, "Z": (0.5, 0.0)})
-        assert score(ruleset, Transaction("t", (*ids, "Z"))).point_estimate == 1.0
+        for pair in [(0.3, 0.2), (2.0**-300, 0.9), (0.9, 2.0**-300)]:
+            likelihoods = {eid: pair for eid in ids}
+            ruleset, _ = bayes_ruleset(0.5, {**likelihoods, "Z": (0.0, 0.5)})
+            assert score(ruleset, Transaction("t", (*ids, "Z"))).point_estimate == 0.0
+            ruleset, _ = bayes_ruleset(0.5, {**likelihoods, "Z": (0.5, 0.0)})
+            assert score(ruleset, Transaction("t", (*ids, "Z"))).point_estimate == 1.0
 
     def test_repeated_ids_count_once(self):
         ruleset, _ = bayes_ruleset(0.3, {"a": (0.6, 0.2), "b": (0.1, 0.4)})
@@ -484,14 +501,37 @@ _likelihood_values = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+# One class's likelihoods from 2**-400 to 2**-200 and the other's from
+# 2**-150 to 2**-50, under a prior near the middle. Three or more such steps
+# take one straight product subnormal or to zero while the other stays at or
+# above 2**-600 and the posterior stays a double: only the rescaled loop
+# keeps its bits. Were the other class near 1, the posterior would share the
+# underflowed product's subnormal grid, and the straight quotient would
+# mostly agree with the loop's.
+_lopsided_palettes = st.lists(
+    st.tuples(
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-399, -200)),
+        st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-150, -50)),
+    ),
+    min_size=1,
+    max_size=6,
+).flatmap(lambda pairs: st.sampled_from([pairs, [pair[::-1] for pair in pairs]]))
+
+
+@settings(max_examples=500, deadline=None)
 @given(data=st.data())
 def test_bayes_fold_equals_the_posterior_binary_fold(data):
+    lopsided = data.draw(st.booleans(), label="lopsided")
     prior_fraud = data.draw(
-        st.one_of(st.sampled_from([0, 1, 0.0, 1.0]), st.floats(0.0, 1.0)), label="prior"
+        st.floats(0.25, 0.75)
+        if lopsided
+        else st.one_of(st.sampled_from([0, 1, 0.0, 1.0]), st.floats(0.0, 1.0)),
+        label="prior",
     )
     palette = data.draw(
-        st.lists(st.tuples(_likelihood_values, _likelihood_values), min_size=1, max_size=6),
+        _lopsided_palettes
+        if lopsided
+        else st.lists(st.tuples(_likelihood_values, _likelihood_values), min_size=1, max_size=6),
         label="pairs",
     )
     known = [f"E{i:03d}" for i in range(data.draw(st.integers(1, 300), label="known"))]
