@@ -15,12 +15,12 @@ import os
 import sys
 from collections.abc import Sequence
 from contextlib import closing
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 
-from .bayes import BayesModel, LabeledHistory, fit
 from .errors import LARGEST, DegenerateClass, FusionError, ParseError, TotalConflict, clipped
 from .errors import in_range
-from .fileio import _read_batch, load_history_csv, load_rule_config, save_model
+from .fileio import _read_batch, load_rule_config
 from .kernel import combine_binary
 from .scoring import (
     DEMPSTER_MODES,
@@ -35,6 +35,21 @@ from .scoring import (
 # attributes beside load_rule_config: bench/tracing.py wraps them by name.
 from .fileio import load_batch  # noqa: F401
 from .scoring import rank, score  # noqa: F401
+
+# BayesModel and LabeledHistory, in annotations here, are bayes's. cmd_fit
+# imports what it calls, so a score process loads neither ``bayes`` nor
+# ``history`` for it.
+_FIT_NAMES = {"fit": "bayes", "load_history_csv": "history", "save_model": "history"}
+
+
+def __getattr__(name: str) -> object:
+    """fit's callees, on first use: they stay module attributes because
+    bench/tracing.py wraps them here by name."""
+    if name not in _FIT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_FIT_NAMES[name]}", __package__), name)
+    return value
+
 
 # --mode standard|paper names the Dempster combiner ds-standard|ds-paper.
 _MODES = {name.removeprefix("ds-"): mode for name, mode in DEMPSTER_MODES.items()}
@@ -168,6 +183,9 @@ def run() -> None:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .bayes import fit
+    from .history import load_history_csv, save_model
+
     history = load_history_csv(args.history)
     model = fit(history, args.smoothing)
     save_model(model, args.model_out)

@@ -1,24 +1,24 @@
 """File formats: rule configs, transaction batches, history CSVs, model files.
 
 All structured files are JSON (decimal numbers, UTF-8); the history input is
-CSV. Each loader skips a byte order mark at the start of its file. Parse
-failures raise :class:`ParseError` with the file and, where it applies, the
-line or rule that is at fault; a file the OS cannot open or read raises its
+CSV. The history reader and the model writer, which only ``fit`` runs, live
+in :mod:`scorefusion.history`; reading either name here loads that module.
+Each loader skips a byte order mark at the start of its file. Parse failures
+raise :class:`ParseError` with the file and, where it applies, the line or
+rule that is at fault; a file the OS cannot open or read raises its
 ``OSError``, which carries the file name.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from functools import partial
 
-from .bayes import BayesModel, LabeledHistory
-from .errors import EmptyHistory, FusionError, ParseError, clipped
+from .errors import FusionError, ParseError, clipped
 from .scoring import (
     DEMPSTER_MODES,
     BayesCombiner,
@@ -32,9 +32,21 @@ from .scoring import (
 # v1 config surface is pinned to the fraud/genuine frame.
 FRAME_LABELS = ("fraud", "genuine")
 
-HISTORY_HEADER = ("txn_id", "label", "rule_id")
-
 MODEL_FORMAT = "scorefusion-model/1"
+
+# BayesModel, in annotations here, is bayes's; load_model imports it, so
+# that a Dempster score never loads ``bayes``.
+
+
+def __getattr__(name: str) -> object:
+    """The history reader and model writer, on first use: they moved to
+    ``history``, which only ``fit`` loads."""
+    if name not in ("HISTORY_HEADER", "load_history_csv", "save_model"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import history
+
+    value = globals()[name] = getattr(history, name)
+    return value
 
 
 def _reject_constant(token: str) -> float:
@@ -63,115 +75,9 @@ _scan_json = json.JSONDecoder(**_BATCH_HOOKS).scan_once
 _transaction = partial(tuple.__new__, Transaction)
 
 
-def load_history_csv(path: str | os.PathLike) -> LabeledHistory:
-    """Aggregate a trigger-level CSV (txn_id,label,rule_id) into counts.
-
-    One row per trigger; transactions without triggers appear once with an
-    empty rule_id. Rows may come in any order, and duplicate (txn, rule)
-    rows collapse; conflicting labels for one transaction are an error.
-    A leading byte order mark is skipped. A transaction that comes back
-    after another one sends a seekable file back to the top (see
-    ``_count_history``); a pipe is read once.
-    """
-    with _naming(path) as path, open(path, newline="", encoding="utf-8-sig") as handle:
-        counted = _count_history(handle, path, None if handle.seekable() else {})
-        if counted is None:  # a transaction came back
-            handle.seek(0)
-            counted = _count_history(handle, path, {})
-    labels, tallies = counted
-    if not labels:  # outside the naming scope, which would make it a ParseError
-        raise EmptyHistory(f"{path}: history contains no transactions")
-    total = len(labels)
-    fraud_count = sum(1 for value in labels.values() if value == "fraud")
-    evidence = dict(sorted(tallies.items()))  # [fraud, genuine] tallies, by id
-    return LabeledHistory(total=total, fraud_count=fraud_count, evidence=evidence)
-
-
-def _count_history(
-    handle: Iterable[str], path: str, runs: dict[str, set[str]] | None
-) -> tuple[dict[str, str], dict[str, list[int]]] | None:
-    """Each transaction's label and each rule's [fraud, genuine] tally.
-
-    ``runs`` maps each transaction to the rule ids counted for it. When it
-    is None, only the current run's ids are kept (a run is a stretch of
-    rows with one txn_id), and None is returned when a transaction comes
-    back, since its earlier ids are gone.
-    """
-    labels: dict[str, str] = {}
-    tallies: dict[str, list[int]] = {}
-    run_txn = run_label = ""
-    seen: set[str] = set()  # the rule ids counted for run_txn
-    side = 0  # run_label's slot in a tally
-    reader = csv.reader(handle)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(
-                f"{path}: empty file, expected header {','.join(HISTORY_HEADER)}"
-            )
-        if tuple(h.strip() for h in header) != HISTORY_HEADER:
-            raise ParseError(f"{path}:1: expected header {','.join(HISTORY_HEADER)}")
-        for row in reader:
-            if len(row) == 3:
-                txn_id, label, rule_id = row
-                txn_id, label, rule_id = txn_id.strip(), label.strip(), rule_id.strip()
-            else:
-                txn_id = ""
-            if not txn_id:
-                if all(not field.strip() for field in row):
-                    continue
-                where = f"{path}:{reader.line_num}"
-                if len(row) != 3:
-                    raise ParseError(f"{where}: expected 3 fields, got {len(row)}")
-                raise ParseError(f"{where}: empty txn_id")
-            if txn_id != run_txn or label != run_label:
-                if label not in FRAME_LABELS:
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: label must be 'fraud' or 'genuine', "
-                        f"got {clipped(label)}"
-                    )
-                if txn_id != run_txn:
-                    if runs is not None:
-                        seen = runs.setdefault(txn_id, set())
-                    elif txn_id in labels:  # back after another run
-                        return None
-                    else:
-                        seen = set()
-                    run_txn, run_label = txn_id, labels.setdefault(txn_id, label)
-                    side = FRAME_LABELS.index(run_label)
-                if label != run_label:
-                    raise ParseError(
-                        f"{path}:{reader.line_num}: transaction {clipped(txn_id)} labeled both "
-                        f"{run_label!r} and {label!r}"
-                    )
-            if rule_id and rule_id not in seen:
-                seen.add(rule_id)
-                tallies.setdefault(rule_id, [0, 0])[side] += 1
-    except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
-    return labels, tallies
-
-
-def save_model(model: BayesModel, path: str | os.PathLike) -> None:
-    """Write a fitted model as JSON; floats round-trip exactly."""
-    document = {
-        "format": MODEL_FORMAT,
-        "smoothing": model.smoothing,
-        "prior_fraud": model.prior_fraud,
-        "prior_genuine": model.prior_genuine,
-        "likelihoods": {
-            eid: {
-                "p_given_fraud": likelihood.p_given_fraud,
-                "p_given_genuine": likelihood.p_given_genuine,
-            }
-            for eid, likelihood in sorted(model.likelihoods.items())
-        },
-    }
-    with _naming(path) as path, open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(document, indent=2) + "\n")
-
-
 def load_model(path: str | os.PathLike) -> BayesModel:
+    from .bayes import BayesModel
+
     with _naming(path) as path:
         document = _read_json_object(path)
         if document.get("format") != MODEL_FORMAT:

@@ -8,10 +8,6 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
 
-# posterior is no longer called here, but it stays a module attribute beside
-# masses_for and combine_all (see __getattr__): bench/tracing.py wraps all
-# three by name.
-from .bayes import BayesModel, posterior, posterior_binary, resolve_ids  # noqa: F401
 from .errors import LARGEST, FusionError, InvalidValue, NoEvidence, UnknownRule, clipped
 from .errors import in_range, printable
 # NORMALIZATION_TOLERANCE stays a module attribute beside RuleSpec.
@@ -23,15 +19,18 @@ from .kernel import normalize
 
 
 def __getattr__(name: str) -> object:
-    """combine_all, on first use, for bench/tracing.py, its only reader.
-    Scoring folds compiled triples, so a process that only scores or fits
-    never imports ``combination``."""
-    if name != "combine_all":
+    """combine_all and posterior, on first use, for bench/tracing.py, their
+    only reader. Scoring folds compiled triples or pairs, so a process that
+    only scores or fits never imports ``combination``, and a Dempster score
+    never imports ``bayes``."""
+    if name == "combine_all":
+        from .combination import combine_all as value
+    elif name == "posterior":
+        from .bayes import posterior as value
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .combination import combine_all
-
-    globals()[name] = combine_all
-    return combine_all
+    globals()[name] = value
+    return value
 
 
 # A Dempster combiner's name in a rule config and a report header, per mode.
@@ -333,6 +332,8 @@ def _fold(ruleset: RuleSet) -> Callable[[Transaction], tuple[float, float, float
     """
     combiner = ruleset.combiner
     if isinstance(combiner, BayesCombiner):
+        from .bayes import posterior_binary, resolve_ids
+
         model = combiner.model
         prior_fraud, prior_genuine = model.prior_fraud, model.prior_genuine
         pair_of = ruleset.pairs.__getitem__

@@ -982,6 +982,23 @@ class TestInputBoundary:
         batch = write(tmp_path / "batch.jsonl", '{"id": "t1", "triggered": ["R1"]}\n')
         self.check(capsys, ["score", config, batch], config, key)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ('t1,fraud,"R1\nt2,genuine,R2\n', ":3: unexpected end of data"),
+            ('t1,fraud,"R1"x\nt2,genuine,R2\n', ":2: ',' expected after '\"'"),
+        ],
+        ids=["unterminated-quote", "text-after-closing-quote"],
+    )
+    def test_malformed_quoting_in_history_names_line(self, capsys, tmp_path, rows, message):
+        # A lax reader takes the first as one field running to the end of
+        # the file, and the second as the field R1x.
+        history = write(tmp_path / "h.csv", "txn_id,label,rule_id\n" + rows)
+        model = tmp_path / "m.json"
+        argv = ["fit", history, str(model), "--smoothing", "1"]
+        self.check(capsys, argv, f"{history}{message}")
+        assert not model.exists()
+
     def test_overlong_history_field_names_line(self, capsys, tmp_path):
         history = write(tmp_path / "h.csv", "txn_id,label,rule_id\nt1,fraud," + "E" * 200_000)
         self.check(capsys, ["fit", history, str(tmp_path / "m.json")], f"{history}:2:")
@@ -1443,7 +1460,8 @@ def test_a_long_value_makes_a_short_message(tmp_path_factory, data):
     argv = ["score", paths[0], paths[2]]
     if field == "--mass":
         mass = data.draw(st.sampled_from([f"f={text},g=0.1", f"{text}=0.5,g=0.5", f"f=0.5,{text}"]))
-        argv = ["combine", "--mass", mass, "--mass", "f=0.5,g=0.5"]
+        # Joined to its flag, so that a value starting with "-" is not an option.
+        argv = ["combine", f"--mass={mass}", "--mass", "f=0.5,g=0.5"]
     elif field in ("label", "txn_id"):
         # A label that is never a valid one, or a txn_id labeled both ways.
         rows = [f"t1,{_csv_quoted('x' + text)},R0"] if field == "label" else [

@@ -1,19 +1,22 @@
 """What the package loads: a score or fit process loads only the binary
-kernels, no command loads dataclasses or anything outside the standard
-library, on a clean interpreter no command loads typing or pathlib, and the
-package binds each export when it is first read."""
+kernels, a Dempster score loads neither Bayes nor the fit-only modules, no
+command loads dataclasses or anything outside the standard library, on a
+clean interpreter no command loads typing or pathlib, and the package binds
+each export when it is first read."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import scorefusion
-from scorefusion import bayes, combination, evidence, kernel, scoring
+from scorefusion import bayes, cli, combination, evidence, fileio, kernel, scoring
+from scorefusion.fileio import load_history_csv, save_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,23 +63,56 @@ def outside_stdlib(modules):
     ]
 
 
-def test_score_and_fit_load_neither_evidence_nor_combination(tmp_path, history_csv):
+def score_argvs(tmp_path):
+    """A one-transaction score argv for each combiner, with the output the
+    benchmark gives it; the Bayes config reads model.json beside it."""
     rules = [{"id": "E1", "score": 0.7, "uncertainty": 0.2}, {"id": "E2", "score": 0.4}]
     batch = tmp_path / "batch.jsonl"
     batch.write_text('{"id": "t1", "triggered": ["E1", "E2"]}\n', encoding="utf-8")
-    argvs = [["fit", str(history_csv), str(tmp_path / "model.json")]]
+    argvs = {}
     for combiner, output in (("ds-standard", "csv"), ("ds-paper", "jsonl"), ("bayes", "table")):
         config = tmp_path / f"{combiner}.json"
         document = {"combiner": combiner, "model": "model.json", "rules": rules}
         config.write_text(json.dumps(document), encoding="utf-8")
-        argvs.append(["score", str(config), str(batch), "--output", output])
-    statuses, loaded, added = probe(*argvs)
+        argvs[combiner] = ["score", str(config), str(batch), "--output", output]
+    return argvs
+
+
+def test_score_and_fit_load_neither_evidence_nor_combination(tmp_path, history_csv):
+    argvs = [["fit", str(history_csv), str(tmp_path / "model.json")]]
+    statuses, loaded, added = probe(*argvs, *score_argvs(tmp_path).values())
     assert statuses == [0, 0, 0, 0]
     assert outside_stdlib(added) == []
     assert "scorefusion.kernel" in loaded
     assert "scorefusion.evidence" not in loaded
     assert "scorefusion.combination" not in loaded
     assert not set(UNUSED_STDLIB) & set(loaded)
+
+
+# What only fit runs: the history reader and model writer, and csv.
+FIT_ONLY = {"scorefusion.history", "csv"}
+
+
+@pytest.mark.parametrize("combiner", ["ds-standard", "ds-paper"])
+def test_a_dempster_score_loads_neither_bayes_nor_what_only_fit_runs(tmp_path, combiner):
+    statuses, loaded, added = probe(score_argvs(tmp_path)[combiner])
+    assert statuses == [0]
+    assert "scorefusion.scoring" in loaded
+    assert not ({"scorefusion.bayes"} | FIT_ONLY) & set(added)
+
+
+def test_a_bayes_score_loads_bayes_but_not_what_only_fit_runs(tmp_path, history_csv):
+    save_model(bayes.fit(load_history_csv(history_csv)), tmp_path / "model.json")
+    statuses, loaded, added = probe(score_argvs(tmp_path)["bayes"])
+    assert statuses == [0]
+    assert "scorefusion.bayes" in loaded
+    assert not FIT_ONLY & set(added)
+
+
+def test_fit_loads_the_history_module(tmp_path, history_csv):
+    statuses, loaded, _ = probe(["fit", str(history_csv), str(tmp_path / "model.json")])
+    assert statuses == [0]
+    assert FIT_ONLY | {"scorefusion.bayes"} <= set(loaded)
 
 
 def test_combine_loads_evidence():
@@ -90,16 +126,11 @@ def test_combine_loads_evidence():
 
 def test_a_clean_interpreter_loads_neither_typing_nor_pathlib(tmp_path, history_csv):
     # -S: no site, whose .pth files may load either module before the package.
-    rules = [{"id": "E1", "score": 0.7, "uncertainty": 0.2}, {"id": "E2", "score": 0.4}]
-    batch = tmp_path / "batch.jsonl"
-    batch.write_text('{"id": "t1", "triggered": ["E1", "E2"]}\n', encoding="utf-8")
-    argvs = [["fit", str(history_csv), str(tmp_path / "model.json")]]
-    for combiner, output in (("ds-standard", "csv"), ("ds-paper", "jsonl"), ("bayes", "table")):
-        config = tmp_path / f"{combiner}.json"
-        document = {"combiner": combiner, "model": "model.json", "rules": rules}
-        config.write_text(json.dumps(document), encoding="utf-8")
-        argvs.append(["score", str(config), str(batch), "--output", output])
-    argvs.append(["combine", "--mass", "f=0.6,g=0.3,u=0.1", "--mass", "f=0.2,g=0.5,u=0.3"])
+    argvs = [
+        ["fit", str(history_csv), str(tmp_path / "model.json")],
+        *score_argvs(tmp_path).values(),
+        ["combine", "--mass", "f=0.6,g=0.3,u=0.1", "--mass", "f=0.2,g=0.5,u=0.3"],
+    ]
     statuses, loaded, _ = probe(*argvs, flags=["-S"])
     assert statuses == [0, 0, 0, 0, 0]
     assert "site" not in loaded
@@ -147,7 +178,31 @@ def test_star_import_binds_every_export(unbound):
         assert namespace[name] is getattr(unbound, name), name
 
 
-@pytest.mark.parametrize("module", [scorefusion, scoring], ids=["package", "scoring"])
+# Each name a module reads on first use from the module that defines it:
+# fit's callees, the Bayes posterior and combine_all, which only fit, the
+# Bayes path or the tracer in bench/tracing.py need.
+FORWARDED = [
+    (fileio, "HISTORY_HEADER", "history"),
+    (fileio, "load_history_csv", "history"),
+    (fileio, "save_model", "history"),
+    (scoring, "combine_all", "combination"),
+    (scoring, "posterior", "bayes"),
+    (cli, "fit", "bayes"),
+    (cli, "load_history_csv", "history"),
+    (cli, "save_model", "history"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, name, home", FORWARDED, ids=[f"{m.__name__}.{n}" for m, n, _ in FORWARDED]
+)
+def test_a_forwarded_name_is_its_defining_modules_object(module, name, home):
+    assert getattr(module, name) is getattr(import_module(f"scorefusion.{home}"), name)
+
+
+@pytest.mark.parametrize(
+    "module", [scorefusion, scoring, fileio, cli], ids=["package", "scoring", "fileio", "cli"]
+)
 def test_unknown_name_raises_attribute_error(module):
     with pytest.raises(AttributeError, match="has no attribute 'nope'"):
         getattr(module, "nope")
