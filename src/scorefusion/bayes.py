@@ -74,17 +74,17 @@ class LabeledHistory(namedtuple("LabeledHistory", "total fraud_count evidence"))
         }
         for eid, counts in evidence.items():
             for field, count in zip(EvidenceCounts._fields, counts):
-                _check_count(f"evidence {eid!r}: {field} count", count)
+                _check_count(f"evidence {clipped(eid)}: {field} count", count)
             if counts.fraud < 0 or counts.genuine < 0:
-                raise InvalidValue(f"evidence {eid!r} has negative counts")
+                raise InvalidValue(f"evidence {clipped(eid)} has negative counts")
             if counts.fraud > fraud_count:
                 raise InvalidValue(
-                    f"evidence {eid!r}: {printable(counts.fraud)} fraud triggers exceed "
+                    f"evidence {clipped(eid)}: {printable(counts.fraud)} fraud triggers exceed "
                     f"{printable(fraud_count)} frauds"
                 )
             if counts.genuine > genuine_count:
                 raise InvalidValue(
-                    f"evidence {eid!r}: {printable(counts.genuine)} genuine triggers exceed "
+                    f"evidence {clipped(eid)}: {printable(counts.genuine)} genuine triggers exceed "
                     f"{printable(genuine_count)} genuines"
                 )
         return tuple.__new__(cls, (total, fraud_count, evidence))
@@ -110,7 +110,7 @@ def _pair(record: type, eid: str, values: Iterable) -> tuple:
 def _check_count(name: str, count: object) -> None:
     """Raise InvalidValue unless ``count`` is an int; a bool is not a count."""
     if isinstance(count, bool) or not isinstance(count, int):
-        raise InvalidValue(f"{name} must be an int, got {count!r}")
+        raise InvalidValue(f"{name} must be an int, got {clipped(count)}")
 
 
 class BayesModel(namedtuple("BayesModel", "prior_fraud prior_genuine likelihoods smoothing")):
@@ -271,7 +271,7 @@ def posterior_log(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:
         likelihood = model.likelihoods[eid]
         if likelihood.p_given_fraud <= 0.0 or likelihood.p_given_genuine <= 0.0:
             raise NonPositiveLikelihood(
-                f"evidence {eid!r} has a zero likelihood; refit with smoothing > 0"
+                f"evidence {clipped(eid)} has a zero likelihood; refit with smoothing > 0"
             )
         log_fraud += math.log(likelihood.p_given_fraud)
         log_genuine += math.log(likelihood.p_given_genuine)

@@ -9,7 +9,6 @@ SIGPIPE).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -17,6 +16,7 @@ from collections.abc import Sequence
 from contextlib import closing
 from importlib import import_module
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import LARGEST, DegenerateClass, FusionError, ParseError, TotalConflict, clipped
 from .errors import in_range
@@ -38,7 +38,9 @@ from .scoring import rank, score  # noqa: F401
 
 # BayesModel and LabeledHistory, in annotations here, are bayes's. cmd_fit
 # imports what it calls, so a score process loads neither ``bayes`` nor
-# ``history`` for it.
+# ``history`` for it. argparse, in annotations too, loads only in
+# build_parser; an argv _read_argv takes gives each handler a SimpleNamespace
+# with the attributes parse_args would have set.
 _FIT_NAMES = {"fit": "bayes", "load_history_csv": "history", "save_model": "history"}
 
 
@@ -77,80 +79,126 @@ def _smoothing_arg(text: str) -> float:
     try:
         return in_range("smoothing", float(text), LARGEST)
     except ValueError as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# Each command as both argv readers take it: its help, the name of its
+# handler, its positionals (dest: help) and its options (name: argparse's
+# keywords). The handler is looked up when argv is read, so that a wrapper
+# put in its place (bench/tracing.py wraps cmd_score) is what runs.
+_COMMANDS = {
+    "fit": (
+        "fit a Bayes model from a labeled history CSV",
+        "cmd_fit",
+        {
+            "history": "CSV with header txn_id,label,rule_id",
+            "model_out": "where to write the fitted model (JSON)",
+        },
+        {
+            "--smoothing": {
+                "type": _smoothing_arg,
+                "default": 0.0,
+                "metavar": "ALPHA",
+                "help": "additive smoothing for likelihoods, finite and >= 0 (default 0)",
+            },
+        },
+    ),
+    "score": (
+        "score a transaction batch against a rule config",
+        "cmd_score",
+        {"config": "rule config (JSON)", "batch": "transaction batch (one JSON object per line)"},
+        {
+            "--output": {
+                "choices": ("table", "csv", "jsonl"),
+                "default": "table",
+                "help": "report format (default table)",
+            },
+            "--combiner": {
+                "choices": ("ds", "bayes"),
+                "help": "override the config's combiner family",
+            },
+            "--mode": {"choices": tuple(_MODES), "help": "override the Dempster combination mode"},
+            "--threshold": {"type": float, "help": "override the config's detection threshold"},
+        },
+    ),
+    "combine": (
+        "combine inline masses and print the fused result",
+        "cmd_combine",
+        {},
+        {
+            "--mass": {
+                "action": "append",
+                "default": [],
+                "metavar": "f=<x>,g=<y>[,u=<z>]",
+                "help": "one source's masses on fraud, genuine, and uncertainty (repeatable)",
+            },
+            "--mode": {
+                "choices": tuple(_MODES),
+                "default": "standard",
+                "help": "combination mode (default standard)",
+            },
+        },
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, for what :func:`_read_argv` does not take: help,
+    abbreviations, ``--flag=value`` and every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="scorefusion",
         description="Fuse fraud-evidence scores into calibrated, ranked verdicts.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = subparsers.add_parser(
-        "fit", help="fit a Bayes model from a labeled history CSV"
-    )
-    p_fit.add_argument("history", help="CSV with header txn_id,label,rule_id")
-    p_fit.add_argument("model_out", help="where to write the fitted model (JSON)")
-    p_fit.add_argument(
-        "--smoothing",
-        type=_smoothing_arg,
-        default=0.0,
-        metavar="ALPHA",
-        help="additive smoothing for likelihoods, finite and >= 0 (default 0)",
-    )
-    p_fit.set_defaults(handler=cmd_fit)
-
-    p_score = subparsers.add_parser(
-        "score", help="score a transaction batch against a rule config"
-    )
-    p_score.add_argument("config", help="rule config (JSON)")
-    p_score.add_argument("batch", help="transaction batch (one JSON object per line)")
-    p_score.add_argument(
-        "--output",
-        choices=("table", "csv", "jsonl"),
-        default="table",
-        help="report format (default table)",
-    )
-    p_score.add_argument(
-        "--combiner",
-        choices=("ds", "bayes"),
-        help="override the config's combiner family",
-    )
-    p_score.add_argument(
-        "--mode",
-        choices=tuple(_MODES),
-        help="override the Dempster combination mode",
-    )
-    p_score.add_argument(
-        "--threshold", type=float, help="override the config's detection threshold"
-    )
-    p_score.set_defaults(handler=cmd_score)
-
-    p_combine = subparsers.add_parser(
-        "combine", help="combine inline masses and print the fused result"
-    )
-    p_combine.add_argument(
-        "--mass",
-        action="append",
-        default=[],
-        metavar="f=<x>,g=<y>[,u=<z>]",
-        help="one source's masses on fraud, genuine, and uncertainty (repeatable)",
-    )
-    p_combine.add_argument(
-        "--mode",
-        choices=tuple(_MODES),
-        default="standard",
-        help="combination mode (default standard)",
-    )
-    p_combine.set_defaults(handler=cmd_combine)
+    for command, (summary, handler, positionals, options) in _COMMANDS.items():
+        subparser = subparsers.add_parser(command, help=summary)
+        for dest, text in positionals.items():
+            subparser.add_argument(dest, help=text)
+        for name, keywords in options.items():
+            subparser.add_argument(name, **keywords)
+        subparser.set_defaults(handler=globals()[handler])
     return parser
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for an argv of the
+    form ``COMMAND POSITIONAL... [--option VALUE]...`` whose options are
+    spelled in full, whose other tokens do not start with ``-``, and whose
+    values pass their choices or converter. None for any other argv, which
+    the parser then reads, printing help or the usage error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, positionals, options = _COMMANDS[argv[0]]
+    values, pairs = argv[1 : 1 + len(positionals)], argv[1 + len(positionals) :]
+    if len(values) < len(positionals) or len(pairs) % 2:
+        return None
+    if any(token.startswith("-") for token in [*values, *pairs[1::2]]):
+        return None
+    args = {"command": argv[0], "handler": globals()[handler], **dict(zip(positionals, values))}
+    args.update((name[2:], keywords.get("default")) for name, keywords in options.items())
+    for name, value in zip(pairs[::2], pairs[1::2]):
+        keywords = options.get(name)
+        if keywords is None or value not in keywords.get("choices", (value,)):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except Exception:  # float's ValueError, _smoothing_arg's ArgumentTypeError
+            return None
+        dest = name[2:]
+        args[dest] = [*args[dest], value] if keywords.get("action") == "append" else value
+    return SimpleNamespace(**args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)  # --help prints, then exits
+            args = _read_argv(sys.argv[1:] if argv is None else argv)
+            if args is None:
+                args = build_parser().parse_args(argv)  # --help prints, then exits
             return args.handler(args)
         finally:
             sys.stdout.flush()  # here, so that a reader gone early is caught below

@@ -19,6 +19,7 @@ from .errors import (
     NegativeMass,
     NonFiniteMass,
     NotNormalized,
+    clipped,
     printable,
 )
 from .kernel import NORMALIZATION_TOLERANCE, normalize
@@ -58,7 +59,7 @@ class Frame(namedtuple("Frame", "labels")):
         try:
             return self.labels.index(label)
         except ValueError:
-            raise InvalidValue(f"unknown hypothesis {label!r}") from None
+            raise InvalidValue(f"unknown hypothesis {clipped(label)}") from None
 
     def subset(self, labels: Iterable[str]) -> "HypothesisSet":
         """The hypothesis set containing exactly the given labels."""

@@ -2,11 +2,10 @@
 
 All structured files are JSON (decimal numbers, UTF-8); the history input is
 CSV. The history reader and the model writer, which only ``fit`` runs, live
-in :mod:`scorefusion.history`; reading either name here loads that module.
-Each loader skips a byte order mark at the start of its file. Parse failures
-raise :class:`ParseError` with the file and, where it applies, the line or
-rule that is at fault; a file the OS cannot open or read raises its
-``OSError``, which carries the file name.
+in :mod:`scorefusion.history`. Each loader skips a byte order mark at the
+start of its file. Parse failures raise :class:`ParseError` with the file
+and, where it applies, the line or rule that is at fault; a file the OS
+cannot open or read raises its ``OSError``, which carries the file name.
 """
 
 from __future__ import annotations
@@ -36,17 +35,6 @@ MODEL_FORMAT = "scorefusion-model/1"
 
 # BayesModel, in annotations here, is bayes's; load_model imports it, so
 # that a Dempster score never loads ``bayes``.
-
-
-def __getattr__(name: str) -> object:
-    """The history reader and model writer, on first use: they moved to
-    ``history``, which only ``fit`` loads."""
-    if name not in ("HISTORY_HEADER", "load_history_csv", "save_model"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import history
-
-    value = globals()[name] = getattr(history, name)
-    return value
 
 
 def _reject_constant(token: str) -> float:
@@ -82,7 +70,7 @@ def load_model(path: str | os.PathLike) -> BayesModel:
         document = _read_json_object(path)
         if document.get("format") != MODEL_FORMAT:
             raise ParseError(
-                f"{path}: not a model file (format {document.get('format')!r}, "
+                f"{path}: not a model file (format {clipped(document.get('format'))}, "
                 f"expected {MODEL_FORMAT!r})"
             )
         likelihoods_doc = document.get("likelihoods")

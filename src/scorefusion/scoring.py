@@ -135,7 +135,9 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
         rules = dict(rules)
         for rule_id, spec in rules.items():
             if rule_id != spec.id:
-                raise InvalidValue(f"rule key {rule_id!r} does not match spec id {spec.id!r}")
+                raise InvalidValue(
+                    f"rule key {clipped(rule_id)} does not match spec id {clipped(spec.id)}"
+                )
         threshold = in_range("threshold", threshold, 1.0)
         triples, pairs = {}, {}
         if isinstance(combiner, BayesCombiner):
@@ -184,8 +186,8 @@ class Transaction(namedtuple("Transaction", "id triggered payload")):
     ) -> Transaction:
         if isinstance(triggered, (str, bytes)):
             raise InvalidValue(
-                f"transaction {id!r}: triggered must be a collection of rule ids,"
-                f" got {triggered!r}"
+                f"transaction {clipped(id)}: triggered must be a collection of rule ids,"
+                f" got {clipped(triggered)}"
             )
         triggered = tuple(triggered)
         if len(set(triggered)) < len(triggered):
@@ -373,10 +375,10 @@ def _triggered(table: Mapping, txn: Transaction) -> list:
     reported ahead of any conflict between the known ones.
     """
     if not txn.triggered:
-        raise NoEvidence(f"transaction {txn.id!r} triggered no rules")
+        raise NoEvidence(f"transaction {clipped(txn.id)} triggered no rules")
     try:
         return [table[rule_id] for rule_id in txn.triggered]
     except KeyError as exc:
         raise UnknownRule(
-            f"transaction {txn.id!r} triggered unknown rule {exc.args[0]!r}"
+            f"transaction {clipped(txn.id)} triggered unknown rule {clipped(exc.args[0])}"
         ) from None

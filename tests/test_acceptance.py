@@ -29,7 +29,8 @@ from scorefusion import (
 )
 from scorefusion.cli import main
 from scorefusion.errors import TotalConflict
-from scorefusion.fileio import load_history_csv, load_model
+from scorefusion.fileio import load_model
+from scorefusion.history import load_history_csv
 from scorefusion.scoring import ScoreReport
 
 from oracles import brute_combine, exact_posterior

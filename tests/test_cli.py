@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scorefusion import fileio, fit, posterior, scoring
-from scorefusion.cli import _apply_overrides, build_parser, main
-from scorefusion.fileio import load_batch, load_history_csv, load_model, load_rule_config
+from scorefusion import cli, fileio, fit, posterior, scoring
+from scorefusion.cli import _apply_overrides, _read_argv, build_parser, main
+from scorefusion.fileio import load_batch, load_model, load_rule_config
+from scorefusion.history import load_history_csv
 from scorefusion.kernel import combine_binary
 from scorefusion.scoring import score_batch
 
@@ -628,6 +629,111 @@ class TestOverrides:
         ruleset = load_rule_config(config)
         args = build_parser().parse_args(["score", config, batch, *flags])
         assert _apply_overrides(ruleset, args) is ruleset
+
+
+# What each command takes: its number of positionals, and each option with
+# values it accepts. A path or a --mass text may be any token that does not
+# start with "-".
+_TAKES = {
+    "fit": (2, {"--smoothing": ["0", "1", "2.5", "1e3"]}),
+    "score": (2, {
+        "--output": ["table", "csv", "jsonl"],
+        "--combiner": ["ds", "bayes"],
+        "--mode": ["standard", "paper"],
+        "--threshold": ["0.5", "1", "nan", "1e999"],
+    }),
+    "combine": (0, {"--mass": ["f=0.6,g=0.4", "f=1", ""], "--mode": ["standard", "paper"]}),
+}
+_PATHS = ["rules.json", "b c.jsonl", "", "score", "f=0.6,g=0.4"]
+# Tokens that some place in an argv refuses: unknown commands, paths starting
+# with "-", abbreviated and "=" spellings, argparse's own tokens, option
+# names, and values some option refuses.
+_ODD = [
+    "scor", "help", "-", "-rules.json", "--smooth", "--out", "--comb", "--mo", "--m",
+    "--thr", "--ma", "--output=csv", "--mode=paper", "--threshold=0.5", "--mass=f=1",
+    "--smoothing=1", "-h", "--help", "--", "-x", "-1", "-0.5", "abc", "xml", "nan",
+    "--output", "--mass", "--smoothing", "--mode", "fit", "combine",
+]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of the form the reader takes, repeats included, as it is or
+    with an odd token put in, swapped in, or shuffled, or cut short."""
+    command = draw(st.sampled_from(sorted(_TAKES)))
+    positionals, options = _TAKES[command]
+    tokens = [command, *(draw(st.sampled_from(_PATHS)) for _ in range(positionals))]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(options)))
+        tokens += [name, draw(st.sampled_from(options[name]))]
+    change = draw(st.sampled_from(["none", "none", "insert", "swap", "shuffle", "cut"]))
+    where = draw(st.integers(0, len(tokens) - 1))
+    if change == "insert":
+        tokens.insert(where, draw(st.sampled_from(_ODD)))
+    elif change == "swap":
+        tokens[where] = draw(st.sampled_from(_ODD))
+    elif change == "shuffle":
+        tokens = draw(st.permutations(tokens))
+    elif change == "cut":
+        tokens = tokens[:where]
+    return tokens
+
+
+def _parsed(args):
+    """A namespace's attributes, sorted, by repr, so that a NaN equals a NaN."""
+    return repr(sorted(vars(args).items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argvs())
+def test_the_argv_reader_reads_what_argparse_reads(argv):
+    args = _read_argv(argv)
+    if args is not None:
+        assert _parsed(args) == _parsed(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "rules.json", "batch.jsonl"],
+        ["score", "rules.json", "batch.jsonl", "--output", "jsonl", "--combiner", "ds",
+         "--mode", "paper", "--threshold", "0.7", "--output", "csv"],
+        ["fit", "history.csv", "model.json", "--smoothing", "1"],
+        ["combine", "--mass", "f=0.6,g=0.4", "--mode", "paper", "--mass", "f=0.8,g=0.2"],
+        ["combine"],
+    ],
+)
+def test_an_argv_spelled_in_full_needs_no_parser(argv):
+    args = _read_argv(argv)
+    assert args is not None
+    assert _parsed(args) == _parsed(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["--help"], ["score", "--help"], ["score", "-h", "r", "b"], ["fit", "h", "m", "--"],
+        ["score", "r", "b", "--out", "csv"], ["score", "r", "b", "--output=csv"],
+        ["score", "r"], ["score", "r", "b", "c"], ["score", "r", "b", "--output"],
+        ["score", "r", "b", "--output", "xml"], ["score", "r", "b", "--threshold", "high"],
+        ["fit", "h", "m", "--smoothing", "-1"], ["fit", "h", "m", "--smoothing", "nan"],
+        ["score", "-r", "b"], ["combine", "--mass", "-f=1"], ["bogus"],
+    ],
+)
+def test_anything_else_is_left_to_the_parser(argv):
+    assert _read_argv(argv) is None
+
+
+def test_the_argv_reader_runs_the_handler_bound_when_it_reads(monkeypatch):
+    """A wrapper put in place of a handler, as a tracer puts one, is what
+    main runs, and an argv spelled in full never builds the parser."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_score", lambda args: seen.append(args) or 7)
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert main(["score", "rules.json", "batch.jsonl", "--output", "csv"]) == 7
+    assert [(args.config, args.batch, args.output) for args in seen] == [
+        ("rules.json", "batch.jsonl", "csv")
+    ]
 
 
 class TestCombine:
@@ -1428,8 +1534,8 @@ def test_a_long_value_makes_a_short_message(tmp_path_factory, data):
     work.mkdir(exist_ok=True)
     field = data.draw(
         st.sampled_from(
-            ["threshold", "frame", "combiner", "score", "prior_fraud", "id", "--mass",
-             "rule id", "likelihood id", "label", "txn_id"]
+            ["threshold", "frame", "combiner", "score", "prior_fraud", "format", "id",
+             "--mass", "rule id", "likelihood id", "label", "txn_id"]
         )
     )
     value = data.draw(_long_values)
@@ -1441,9 +1547,9 @@ def test_a_long_value_makes_a_short_message(tmp_path_factory, data):
         config[field] = value
     elif field == "score":
         config["rules"][0]["score"] = value
-    elif field == "prior_fraud":
+    elif field in ("prior_fraud", "format"):
         config.update(combiner="bayes", model="model.json")
-        model["prior_fraud"] = value
+        model[field] = value
     elif field == "id":
         lines = [{"id": text, "triggered": ["R0"]}] * 2
     elif field == "rule id":
@@ -1472,7 +1578,7 @@ def test_a_long_value_makes_a_short_message(tmp_path_factory, data):
         argv = ["fit", paths[-1], str(work / "out.json")]
     status, out, err = run_main(argv)
     assert status in (0, 1, 2)
-    if field in ("rule id", "likelihood id", "label", "txn_id"):
+    if field in ("format", "rule id", "likelihood id", "label", "txn_id"):
         assert status == 2, err
     if status == 2:
         assert out == ""

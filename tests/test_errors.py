@@ -21,9 +21,12 @@ from scorefusion import (
     MassFunction,
     RuleSet,
     RuleSpec,
+    Transaction,
     classify,
     errors,
     fit,
+    posterior_log,
+    score,
 )
 from scorefusion.cli import main
 
@@ -310,3 +313,34 @@ def test_a_bad_number_is_rejected_or_gives_finite_numbers(argument, bad):
     except errors.FusionError:
         return
     assert all(not isinstance(n, float) or math.isfinite(n) for n in numbers_in(result))
+
+
+LONG = "x" * 100_000
+DEMPSTER_RULES = RuleSet.from_rules([RuleSpec.from_score("E1", 0.5)], DempsterCombiner())
+
+# A call whose message names a user id or value, for each such message the
+# records, scoring, Bayes and frames raise; LONG is the id or value.
+NAMING_A_USER_VALUE = {
+    "Transaction-id": lambda: Transaction(LONG, "R1"),
+    "Transaction-triggered": lambda: Transaction("t", LONG),
+    "RuleSet-key": lambda: RuleSet({LONG: RuleSpec.from_score("E1", 0.5)}, DempsterCombiner()),
+    "RuleSet-spec-id": lambda: RuleSet({"E1": RuleSpec.from_score(LONG, 0.5)}, DempsterCombiner()),
+    "NoEvidence": lambda: score(DEMPSTER_RULES, Transaction(LONG, [])),
+    "UnknownRule-txn": lambda: score(DEMPSTER_RULES, Transaction(LONG, ["nope"])),
+    "UnknownRule-rule": lambda: score(DEMPSTER_RULES, Transaction("t", [LONG])),
+    "evidence-count": lambda: LabeledHistory(3, 1, {LONG: (math.nan, 1)}),
+    "evidence-negative": lambda: LabeledHistory(3, 1, {LONG: (0, -1)}),
+    "evidence-fraud": lambda: LabeledHistory(3, 1, {LONG: (2, 0)}),
+    "evidence-genuine": lambda: LabeledHistory(3, 1, {LONG: (0, 3)}),
+    "evidence-zero": lambda: posterior_log(BayesModel(0.5, 0.5, {LONG: (0.0, 0.5)}), [LONG]),
+    "count": lambda: LabeledHistory(LONG, 1, {}),
+    "hypothesis": lambda: Frame(["a", "b"]).index(LONG),
+}
+
+
+@pytest.mark.parametrize("call", NAMING_A_USER_VALUE.values(), ids=NAMING_A_USER_VALUE)
+def test_a_long_user_value_makes_a_short_message(call):
+    with pytest.raises(errors.FusionError) as info:
+        call()
+    assert "..." in str(info.value)
+    assert len(str(info.value)) <= 300

@@ -26,14 +26,8 @@ from scorefusion import (
 )
 from scorefusion.bayes import BayesModel, EvidenceCounts, LabeledHistory
 from scorefusion.errors import EmptyHistory, ParseError
-from scorefusion.fileio import (
-    _read_batch,
-    load_batch,
-    load_history_csv,
-    load_model,
-    load_rule_config,
-    save_model,
-)
+from scorefusion.fileio import _read_batch, load_batch, load_model, load_rule_config
+from scorefusion.history import load_history_csv, save_model
 
 
 class TestHistoryCsv:

@@ -1,8 +1,9 @@
 """What the package loads: a score or fit process loads only the binary
 kernels, a Dempster score loads neither Bayes nor the fit-only modules, no
-command loads dataclasses or anything outside the standard library, on a
-clean interpreter no command loads typing or pathlib, and the package binds
-each export when it is first read."""
+command loads dataclasses or anything outside the standard library, a
+command whose flags are spelled in full loads no argparse, on a clean
+interpreter no command loads typing or pathlib, and the package binds each
+export when it is first read."""
 
 import ast
 import json
@@ -16,7 +17,7 @@ import pytest
 
 import scorefusion
 from scorefusion import bayes, cli, combination, evidence, fileio, kernel, scoring
-from scorefusion.fileio import load_history_csv, save_model
+from scorefusion.history import load_history_csv, save_model
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -25,8 +26,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 UNUSED_STDLIB = ("dataclasses", "inspect")
 
 # Runs each argv through cli.main in a fresh interpreter, stdout discarded,
-# then prints the exit codes, every module that was loaded, and those that
-# importing the CLI and running the argvs added to what start-up loaded.
+# then prints the exit codes (argparse's SystemExit counts as one), every
+# module that was loaded, and those that importing the CLI and running the
+# argvs added to what start-up loaded.
 PROBE = """
 import sys
 started = set(sys.modules)
@@ -35,7 +37,10 @@ from scorefusion.cli import main
 statuses = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        statuses.append(main(argv))
+        try:
+            statuses.append(main(argv))
+        except SystemExit as exc:  # argparse's, after help or a usage error
+            statuses.append(exc.code)
 print(json.dumps([statuses, sorted(sys.modules), sorted(set(sys.modules) - started)]))
 """
 
@@ -124,6 +129,29 @@ def test_combine_loads_evidence():
     assert not set(UNUSED_STDLIB) & set(loaded)
 
 
+# What argparse loads: argparse itself, gettext for its messages, and locale,
+# which gettext.find imports while the parsers are built.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def test_a_command_spelled_in_full_loads_no_argparse(tmp_path, history_csv):
+    save_model(bayes.fit(load_history_csv(history_csv)), tmp_path / "model.json")
+    argvs = [
+        *score_argvs(tmp_path).values(),
+        ["fit", str(history_csv), str(tmp_path / "fitted.json"), "--smoothing", "1"],
+        ["combine", "--mass", "f=0.6,g=0.3,u=0.1", "--mass", "f=0.2,g=0.5,u=0.3", "--mode", "paper"],
+    ]
+    statuses, _, added = probe(*argvs)
+    assert statuses == [0, 0, 0, 0, 0]
+    assert not ARGPARSE & set(added)
+
+
+def test_help_loads_argparse():
+    statuses, _, added = probe(["--help"])
+    assert statuses == [0]
+    assert "argparse" in added
+
+
 def test_a_clean_interpreter_loads_neither_typing_nor_pathlib(tmp_path, history_csv):
     # -S: no site, whose .pth files may load either module before the package.
     argvs = [
@@ -182,9 +210,6 @@ def test_star_import_binds_every_export(unbound):
 # fit's callees, the Bayes posterior and combine_all, which only fit, the
 # Bayes path or the tracer in bench/tracing.py need.
 FORWARDED = [
-    (fileio, "HISTORY_HEADER", "history"),
-    (fileio, "load_history_csv", "history"),
-    (fileio, "save_model", "history"),
     (scoring, "combine_all", "combination"),
     (scoring, "posterior", "bayes"),
     (cli, "fit", "bayes"),
