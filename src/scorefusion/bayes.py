@@ -2,8 +2,8 @@
 
 Priors and per-evidence likelihoods are fitted from labeled trigger counts;
 the posterior multiplies the likelihoods of the triggered evidence only.
-A log-space path keeps long products from losing precision, and a rescaled
-product over precompiled likelihood pairs keeps them from underflowing.
+A log-space path keeps long products from losing precision, and a product
+carried with its own exponent keeps them from underflowing.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from .errors import (
     printable,
 )
 
-# posterior_binary multiplies a running product by 2**_RESCALE_EXP once it
-# falls below _TINY. A power of two scales a normal double exactly, so no
-# bit is lost, and the product stays far above the subnormal range.
-_RESCALE_EXP = 600
-_TINY = 2.0**-_RESCALE_EXP
-_RESCALE = 2.0**_RESCALE_EXP
+_NORMAL = 2.0**-1022  # the smallest normal double
 _ZERO_MARGINAL = (
     "both class products vanished; refit with smoothing > 0 to avoid zero likelihoods"
 )
@@ -210,48 +205,45 @@ def posterior_binary(
 ) -> float:
     """P(fraud) from the priors and (P(E|fraud), P(E|genuine)) pairs.
 
-    The same product as :func:`posterior`, in input order, except that each
-    running product is multiplied by 2**600 whenever it falls below 2**-600,
-    and the quotient is taken at a common scale before that scale is undone.
-    The result therefore equals ``posterior(...).p_fraud`` bit for bit
-    wherever that product stays normal, and neither product nor a normal
-    posterior underflows, however many pairs there are, while every nonzero
-    prior and likelihood is at least 2**-400. A zero likelihood still gives
-    exactly 0 or 1, and both products zero raises ZeroMarginal. The caller
-    resolves and orders the ids; :func:`posterior` sorts them.
+    The same product as :func:`posterior`, in input order, but each class
+    product is carried as a significand and an integer exponent, so neither
+    underflows however many pairs there are or however small a factor is.
+    The quotient is taken at the larger product's scale. The result therefore
+    equals ``posterior(...).p_fraud`` bit for bit wherever that product stays
+    normal. A zero likelihood still gives exactly 0 or 1, and both products
+    zero raises ZeroMarginal. The caller resolves and orders the ids;
+    :func:`posterior` sorts them.
     """
     pairs = list(pairs)
     # Each product straight through first. Every prior and likelihood is in
     # [0, 1], so a running product never grows, even rounded: one that ends
-    # at or above _TINY was never rescaled, and the quotient is the same bits.
+    # at or above the smallest normal double never lost a bit.
     fraud = math.prod(map(_first, pairs), start=prior_fraud)
     genuine = math.prod(map(_second, pairs), start=prior_genuine)
-    if fraud >= _TINY and genuine >= _TINY:
+    if fraud >= _NORMAL and genuine >= _NORMAL:
         return fraud / (fraud + genuine)
-    fraud = prior_fraud
-    genuine = prior_genuine
-    shift = 0  # rescales of the fraud product minus those of the genuine one
-    for p_fraud, p_genuine in pairs:
-        fraud *= p_fraud
-        genuine *= p_genuine
-        if fraud < _TINY:
-            fraud *= _RESCALE
-            shift += 1
-        if genuine < _TINY:
-            genuine *= _RESCALE
-            shift -= 1
-    # A zero product stays at its own scale, and the quotient is exactly 0 or 1.
-    if shift > 0 and genuine:
-        # The quotient at the genuine product's scale, then that scale undone:
-        # the fraud product, scaled down first, would round away its bits.
-        scale = -_RESCALE_EXP * shift
-        return math.ldexp(fraud / (math.ldexp(fraud, scale) + genuine), scale)
-    if shift < 0 and fraud:
-        genuine = math.ldexp(genuine, _RESCALE_EXP * shift)
-    marginal = fraud + genuine
-    if marginal <= 0.0:
+    fraud, fraud_exp = _split_product(prior_fraud, map(_first, pairs))
+    genuine, genuine_exp = _split_product(prior_genuine, map(_second, pairs))
+    if not (fraud and genuine):  # a zero product's exponent means nothing
+        if fraud or genuine:
+            return 1.0 if fraud else 0.0
         raise ZeroMarginal(_ZERO_MARGINAL)
-    return fraud / marginal
+    shift = fraud_exp - genuine_exp
+    if shift >= 0:
+        return fraud / (fraud + math.ldexp(genuine, -shift))
+    # The fraud significand divides whole and is scaled once, at the end.
+    return math.ldexp(fraud / (math.ldexp(fraud, shift) + genuine), shift)
+
+
+def _split_product(start: float, factors: Iterable[float]) -> tuple[float, int]:
+    """``start * prod(factors)`` as a significand in [0.5, 1), or 0.0, and an exponent.
+    Each factor is split too, so a subnormal one keeps its bits."""
+    product, exponent = math.frexp(start)
+    for factor in factors:
+        factor, factor_exp = math.frexp(factor)
+        product, product_exp = math.frexp(product * factor)
+        exponent += factor_exp + product_exp
+    return product, exponent
 
 
 def posterior_log(model: BayesModel, evidence_ids: Iterable[str]) -> Posterior:
@@ -289,5 +281,7 @@ def resolve_ids(model: BayesModel, evidence_ids: Iterable[str]) -> list[str]:
         raise NoEvidence("no evidence to condition on")
     unknown = [eid for eid in ids if eid not in model.likelihoods]
     if unknown:
-        raise UnknownEvidence(f"evidence not in model: {', '.join(map(repr, unknown))}")
+        more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
+        shown = ", ".join(map(clipped, unknown[:3]))
+        raise UnknownEvidence(f"evidence not in model: {shown}{more}")
     return ids

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from math import fsum, prod
+from math import fsum
 
 from .errors import EmptyInput, FrameMismatch, ModeUnsupported, TotalConflict
 from .evidence import Frame, HypothesisSet, MassFunction
@@ -102,11 +102,12 @@ def combine_all(
         sources.sort(key=_fold_key)
     combined = sources[0]
     steps: list[float] = []
+    total = 0.0  # 1 - prod(1 - K), without subtracting nearly equal numbers
     for m in sources[1:]:
         step = combine_pair(combined, m, mode)
         combined = step.mass
         steps.append(step.conflict)
-    total = 1.0 - prod(1.0 - k for k in steps)
+        total += step.conflict * (1.0 - total)
     return CombinationResult(combined, total, tuple(steps))
 
 

@@ -99,10 +99,13 @@ def printable(value: object) -> object:
 
 
 def clipped(value: object) -> str:
-    """``repr(printable(value))`` as a message shows a user value: its first
-    60 characters, then ``...`` and the full length of the repr, when it is
-    longer. So a message stays one short line however long the value."""
-    text = repr(printable(value))
+    """``repr(printable(value))`` through :func:`clipped_text`, as a message shows a user value."""
+    return clipped_text(repr(printable(value)))
+
+
+def clipped_text(text: str) -> str:
+    """``text``'s first 60 characters, then ``...`` and its full length, when
+    it is longer. So a message stays one short line however long the value."""
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 

@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteMass,
     NotNormalized,
     clipped,
+    clipped_text,
     printable,
 )
 from .kernel import NORMALIZATION_TOLERANCE, normalize
@@ -92,9 +93,10 @@ class HypothesisSet(namedtuple("HypothesisSet", "frame mask")):
 
     def __new__(cls, frame: Frame, mask: int) -> HypothesisSet:
         if not isinstance(mask, int):
-            raise InvalidValue(f"mask must be an int, got {mask!r}")
+            raise InvalidValue(f"mask must be an int, got {clipped(mask)}")
         if not 0 <= mask < (1 << frame.size):
-            raise InvalidValue(f"mask {mask:#x} does not fit a frame of {frame.size}")
+            text = clipped_text(hex(mask))
+            raise InvalidValue(f"mask {text} does not fit a frame of {frame.size}")
         return tuple.__new__(cls, (frame, mask))
 
     _make = classmethod(lambda cls, fields: cls(*fields))

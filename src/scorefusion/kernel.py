@@ -82,8 +82,8 @@ def combine_binary(
     Each step is divided by its surviving sum, so the running triple
     stays a unit of mass however long the fold. Returns (bel, pl, conflict)
     of the first hypothesis, with 0 <= bel <= pl <= 1 and conflict
-    1 - prod(1 - K_i). Agrees with the generic fold to rounding, not to the
-    last bit.
+    1 - prod(1 - K_i), carried as c + K_i(1 - c) so that a small K keeps its
+    bits. Agrees with the generic fold to rounding, not to the last bit.
 
     When ``steps`` is given, each fold step appends its (K, first, second,
     both) to it: the step's conflict and the normalised triple after it.
@@ -95,7 +95,7 @@ def combine_binary(
     if not pooled:
         sources = sorted(sources)
     f, g, u = sources[0]
-    kept = 1.0
+    conflict = 0.0
     for f2, g2, u2 in sources[1:]:
         k = f * g2 + g * f2
         if k >= TOTAL_CONFLICT_LIMIT:
@@ -106,7 +106,7 @@ def combine_binary(
             f, g, u = f * (f2 + u2) + u * f2, g * (g2 + u2) + u * g2, u * u2
         total = f + g + u
         f, g, u = f / total, g / total, u / total
-        kept *= 1.0 - k
+        conflict += k * (1.0 - conflict)
         if steps is not None:
             steps.append((k, f, g, u))
-    return f, min(f + u, 1.0), 1.0 - kept
+    return f, min(f + u, 1.0), conflict

@@ -6,12 +6,12 @@ each run's expected stdout and exit code (and, for ``fit``, model file).
 
 ``tests/test_golden.py`` reruns every case and compares bytes. The inputs
 are small batches from ``bench/generate.py``; the triage-ds batch plants a
-skipped transaction and a TotalConflict pair. The odd-ids and deep-bayes
-inputs are written by hand, and ``--inputs`` keeps them: odd-ids has ids
-that csv quotes, and deep-bayes has long Bayes products and zero
-likelihoods. A
-change that alters output on purpose reruns this script and records the
-change in CHANGES.md.
+skipped transaction and a TotalConflict pair. The odd-ids, deep-bayes and
+tiny-bayes inputs are written by hand, and ``--inputs`` keeps them: odd-ids
+has ids that csv quotes, deep-bayes has long Bayes products and zero
+likelihoods, and tiny-bayes has likelihoods near and below the smallest
+normal double. A change that alters output on purpose reruns this script
+and records the change in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ def cases() -> dict[str, list[str]]:
     # Hand-written inputs: odd-ids has ids that csv must quote, jsonl escape
     # and table escape or pad; deep-bayes has Bayes products that end below
     # 2**-600 on either side or both, straight products, zero likelihoods and
-    # a ZeroMarginal row.
-    for name in ("odd-ids", "deep-bayes"):
+    # a ZeroMarginal row; tiny-bayes has products that pass below the smallest
+    # subnormal and come back, subnormal likelihoods and zero ones.
+    for name in ("odd-ids", "deep-bayes", "tiny-bayes"):
         inputs = [str(GOLDEN / name / "rules.json"), str(GOLDEN / name / "batch.jsonl")]
         for output in ("table", "csv", "jsonl"):
             runs[f"{name}.score.{output}"] = ["score", *inputs, "--output", output]

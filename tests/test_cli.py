@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -23,6 +24,8 @@ from scorefusion.fileio import load_batch, load_model, load_rule_config
 from scorefusion.history import load_history_csv
 from scorefusion.kernel import combine_binary
 from scorefusion.scoring import score_batch
+
+from oracles import exact_posterior
 
 
 def run_cli(capsys, *argv):
@@ -276,7 +279,7 @@ class TestScore:
                     "rank,id,bel_fraud,pl_fraud,point_estimate,conflict,n_sources,"
                     "suspicious,confirmed,status,error",
                     "1,t-ok,0.25301204819277107,0.9759036144578312,0.25301204819277107,"
-                    "0.16999999999999993,2,true,false,scored,",
+                    "0.16999999999999998,2,true,false,scored,",
                     ",t-none,,,,,0,,,skipped,",
                     ",t-bad,,,,,2,,,error,UnknownRule",
                 ],
@@ -287,7 +290,7 @@ class TestScore:
                     '{"combiner": "ds-paper", "threshold": 0.5}',
                     '{"rank": 1, "id": "t-ok", "bel_fraud": 0.25301204819277107, '
                     '"pl_fraud": 0.9759036144578312, "point_estimate": 0.25301204819277107, '
-                    '"conflict": 0.16999999999999993, "n_sources": 2, "suspicious": true, '
+                    '"conflict": 0.16999999999999998, "n_sources": 2, "suspicious": true, '
                     '"confirmed": false, "status": "scored"}',
                     '{"id": "t-none", "n_sources": 0, "status": "skipped", '
                     '"payload": {"amount": 5}}',
@@ -308,6 +311,23 @@ class TestScore:
         status, out, err = run_cli(capsys, "score", config, batch, "--output", output)
         assert (status, err) == (0, "")
         assert out == "".join(row + "\n" for row in rows)
+
+    def test_symmetric_tiny_likelihoods_score_one_half(self, capsys, tmp_path):
+        # Rules A and B are (1e-300, 0.9) and C and D (0.9, 1e-300), so both
+        # class products of the four end near 1e-600, below the smallest
+        # subnormal, and the exact posterior is 1/2.
+        golden = Path(__file__).parent / "golden" / "tiny-bayes"
+        batch = write(tmp_path / "batch.jsonl", '{"id": "t", "triggered": ["D", "A", "C", "B"]}\n')
+        status, out, err = run_cli(
+            capsys, "score", str(golden / "rules.json"), batch, "--output", "csv"
+        )
+        assert (status, err) == (0, "")
+        (row,) = csv.DictReader(io.StringIO(out.split("\n", 1)[1]))
+        assert row["status"] == "scored"
+        model = load_model(golden / "model.json")
+        pairs = [model.likelihoods[rule_id] for rule_id in "ABCD"]
+        exact, _ = exact_posterior(model.prior_fraud, pairs, model.prior_genuine)
+        assert abs(float(row["point_estimate"]) - exact) <= 2 * math.ulp(float(exact))
 
     def test_unprintable_ids_keep_one_table_row_each(self, capsys, tmp_path, paper_mode_setup):
         # A newline or tab would break a row or shift its columns, so such an

@@ -25,6 +25,7 @@ from scorefusion import (
     classify,
     errors,
     fit,
+    posterior,
     posterior_log,
     score,
 )
@@ -335,6 +336,13 @@ NAMING_A_USER_VALUE = {
     "evidence-zero": lambda: posterior_log(BayesModel(0.5, 0.5, {LONG: (0.0, 0.5)}), [LONG]),
     "count": lambda: LabeledHistory(LONG, 1, {}),
     "hypothesis": lambda: Frame(["a", "b"]).index(LONG),
+    "UnknownEvidence-id": lambda: posterior(BayesModel(0.5, 0.5, {}), [LONG]),
+    # 20,000 short unknown ids: the list is capped, not each id clipped.
+    "UnknownEvidence-ids": lambda: posterior(
+        BayesModel(0.5, 0.5, {}), [f"u{i}" for i in range(20_000)]
+    ),
+    "HypothesisSet-type": lambda: HypothesisSet(Frame(["a", "b"]), LONG),
+    "HypothesisSet-fit": lambda: HypothesisSet(Frame(["a", "b"]), 10**5000),
 }
 
 
@@ -342,5 +350,5 @@ NAMING_A_USER_VALUE = {
 def test_a_long_user_value_makes_a_short_message(call):
     with pytest.raises(errors.FusionError) as info:
         call()
-    assert "..." in str(info.value)
+    assert "..." in str(info.value) or str(info.value).endswith(" more")
     assert len(str(info.value)) <= 300

@@ -424,6 +424,18 @@ def generic_fold(ruleset, txn):
     return interval.bel, interval.pl, outcome.conflict
 
 
+def exact_kernel_fold(ruleset, txn, mode):
+    """The exact (fraud, genuine, uncertain) masses and total conflict of the
+    fold of ``txn``'s triples, as Fractions."""
+    # The oracle divides by 1 - K, so its sources must sum to exactly 1.
+    sources = []
+    for rule_id in txn.triggered:
+        triple = [Fraction(x) for x in ruleset.triples[rule_id]]
+        sources.append(tuple(x / sum(triple) for x in triple))
+    masses, conflicts = exact_binary_fold(sources, pooled=mode is SIMPLIFIED)
+    return masses, 1 - prod((1 - k for k in conflicts), start=Fraction(1))
+
+
 def kernel_fold(ruleset, txn):
     """(bel, pl, conflict) from ``score``, or None on total conflict."""
     try:
@@ -456,18 +468,35 @@ class TestBinaryKernel:
         ruleset, txn = data.draw(scoring_cases(mode))
         actual = kernel_fold(ruleset, txn)
         assume(actual is not None)
-        # The oracle divides by 1 - K, so its sources must sum to exactly 1.
-        sources = []
-        for rule_id in txn.triggered:
-            triple = [Fraction(x) for x in ruleset.triples[rule_id]]
-            sources.append(tuple(x / sum(triple) for x in triple))
-        (fraud, _, uncertain), conflicts = exact_binary_fold(
-            sources, pooled=mode is SIMPLIFIED
-        )
-        exact_conflict = 1 - prod((1 - k for k in conflicts), start=Fraction(1))
+        (fraud, _, uncertain), exact_conflict = exact_kernel_fold(ruleset, txn, mode)
         assert actual[0] == pytest.approx(float(fraud), abs=1e-12)
         assert actual[1] == pytest.approx(float(fraud + uncertain), abs=1e-12)
         assert actual[2] == pytest.approx(float(exact_conflict), abs=1e-12)
+
+    @both_modes
+    @given(data=st.data())
+    def test_conflict_keeps_its_relative_bits(self, mode, data):
+        # Each step rounds K's two products and its sum, and the running
+        # masses a few times more; the oracle also normalises each source
+        # exactly. Below 2**-1022 a product may underflow, so only a normal
+        # exact conflict is bounded.
+        ruleset, txn = data.draw(scoring_cases(mode))
+        actual = kernel_fold(ruleset, txn)
+        assume(actual is not None)
+        _, exact_conflict = exact_kernel_fold(ruleset, txn, mode)
+        if exact_conflict >= Fraction(2) ** -1022:
+            error = abs(Fraction(actual[2]) - exact_conflict)
+            assert error <= 8 * len(txn.triggered) * Fraction(2) ** -53 * exact_conflict
+
+    @pytest.mark.parametrize("e", [1e-5, 1e-7, 1e-9, 1e-150])
+    def test_a_small_conflict_keeps_its_bits(self, e):
+        # (e, 0, 1 - e) and (0, e, 1 - e) fuse in one step of K = e * e,
+        # which 1 - (1 - K) would round away.
+        sources = [(e, 0.0, 1.0 - e), (0.0, e, 1.0 - e)]
+        masses = [RuleSpec(f"R{i}", *source).to_mass() for i, source in enumerate(sources)]
+        exact = Fraction(e) * Fraction(e)
+        for conflict in (combine_binary(sources)[2], combine_all(masses).conflict):
+            assert abs(Fraction(conflict) - exact) <= 2 * Fraction(2) ** -53 * exact
 
     @both_modes
     @given(data=st.data())
@@ -524,8 +553,8 @@ class TestBinaryKernel:
 
 
 # Likelihoods and priors for the Bayes fold: exact zeros and ones, values
-# small enough that a handful of them push the products below 2**-600 while
-# they stay normal, and anything else in [0, 1].
+# small enough that a handful of them push the products far down while they
+# stay normal, and anything else in [0, 1].
 _probability = st.one_of(
     st.sampled_from([0.0, 1.0, 1e-10, 3e-13, 2.5e-40]), st.floats(0.0, 1.0)
 )
@@ -570,8 +599,8 @@ def value_or_zero_marginal(fn):
 
 
 class TestBayesFold:
-    """Bayes ``score`` folds compiled likelihood pairs with a product
-    rescaled by powers of two; it must reproduce ``posterior`` to the last
+    """Bayes ``score`` folds compiled likelihood pairs with products that
+    carry their own exponents; it must reproduce ``posterior`` to the last
     bit wherever the direct product loses nothing to underflow."""
 
     @given(fold_cases())

@@ -43,7 +43,12 @@ from scorefusion.errors import (
 )
 from scorefusion.fileio import load_model
 
-from oracles import exact_posterior, rescaled_posterior
+from oracles import (
+    dyadic_posterior,
+    exact_posterior,
+    rescaled_loop_is_exact,
+    rescaled_posterior,
+)
 
 FRAUD = FRAUD_FRAME.singleton("fraud")
 OMEGA = FRAUD_FRAME.omega
@@ -319,8 +324,8 @@ def exact_p_fraud(model, ids):
 
 
 class TestScoreBayesFold:
-    """Bayes ``score`` folds the compiled likelihood pairs with a product
-    rescaled by powers of two; these pin it to ``posterior``, to the
+    """Bayes ``score`` folds the compiled likelihood pairs with products that
+    carry their own exponents; these pin it to ``posterior``, to the
     log-space path and to the exact-rational oracle."""
 
     def test_ruleset_compiles_model_pairs(self):
@@ -343,9 +348,9 @@ class TestScoreBayesFold:
         assert report.point_estimate == posterior(model, ["E1", "E2", "E3"]).p_fraud
 
     def test_rescaled_product_stays_bit_identical(self):
-        # Both products fall below 2**-600 after 16 rules yet stay normal
-        # (about 1e-240 and 1e-235), so the fold rescales and must still
-        # reproduce the direct product to the last bit.
+        # Both products end far below 1 yet stay normal (about 1e-240 and
+        # 1e-235), so the fold must reproduce the direct product to the last
+        # bit.
         ids = [f"E{i:02d}" for i in range(20)]
         ruleset, model = bayes_ruleset(0.3, {eid: (1e-12, 2.7e-12) for eid in ids})
         report = score(ruleset, Transaction("t", tuple(ids)))
@@ -379,7 +384,7 @@ class TestScoreBayesFold:
 
     def test_subnormal_product_is_not_taken_as_the_posterior(self):
         # The direct fraud product of these three pairs is subnormal, so it
-        # lost bits that the rescaled product keeps: the quotients differ.
+        # lost bits that the carried product keeps: the quotients differ.
         prior = float.fromhex("0x1.b87a04237194ap-3")
         pairs = {
             "E1": (float.fromhex("0x1.a2c8a6c4a1696p-398"), float.fromhex("0x1.e0ba140208b1cp-1")),
@@ -394,9 +399,9 @@ class TestScoreBayesFold:
         assert score(ruleset, Transaction("t", ("E3", "E1", "E2"))).point_estimate == expected
 
     def test_a_product_rescaled_alone_keeps_a_normal_posterior(self):
-        # The fraud product ends one rescale below the genuine one, and the
-        # posterior, about 7.8e-226, is a normal double: scaled back before
-        # the quotient, that product fell below the smallest subnormal.
+        # The fraud product ends near 2**-1075, below the smallest subnormal,
+        # and the genuine one near 2**-327, yet the posterior, about 7.8e-226,
+        # is a normal double and keeps its bits.
         model = load_model(Path(__file__).parent / "golden" / "deep-bayes" / "model.json")
         ids = [f"F{i:02d}" for i in range(80)] + [f"G{i:02d}" for i in range(28)]
         pairs = [model.likelihoods[eid] for eid in ids] + [(1e-10, 0.9)]
@@ -404,6 +409,13 @@ class TestScoreBayesFold:
         assert posterior_binary(model.prior_fraud, model.prior_genuine, pairs) == pytest.approx(
             float(expected), rel=1e-12, abs=0.0
         )
+
+    def test_subnormal_likelihoods_keep_their_bits(self):
+        # Both likelihoods are subnormal doubles, the second exactly three
+        # times the first, so the exact posterior is 1/4.
+        pairs = [(1e-310, 3e-310)]
+        assert exact_posterior(0.5, pairs)[0] == Fraction(1, 4)
+        assert posterior_binary(0.5, 0.5, pairs) == 0.25
 
     def test_zero_likelihood_gives_exact_bounds(self):
         ruleset, _ = bayes_ruleset(
@@ -418,8 +430,8 @@ class TestScoreBayesFold:
         assert str(folded.value) == str(generic.value)
 
     def test_zero_likelihood_survives_a_long_fold(self):
-        # The last two pairs decay one product far below the other, which the
-        # zero then meets rescaled hundreds of times less or more.
+        # The last two pairs decay one product far below the other, about
+        # 2**-300000, before the zero meets it.
         ids = [f"S{i:04d}" for i in range(1000)]
         for pair in [(0.3, 0.2), (2.0**-300, 0.9), (0.9, 2.0**-300)]:
             likelihoods = {eid: pair for eid in ids}
@@ -471,10 +483,9 @@ class TestScoreBayesFold:
         )
 
 
-def _old_fold_bayes(ruleset, txn):
-    """The Bayes fold as it was before it multiplied each likelihood column
-    with math.prod: every transaction's compiled pairs through the rescaled
-    loop, here the oracle's copy of it."""
+def _found_pairs(ruleset, txn):
+    """The compiled pairs the Bayes fold multiplies, in sorted id order, after
+    the generic checks that fail a transaction whose pairs are not all found."""
     model = ruleset.combiner.model
     pairs = ruleset.pairs
     try:
@@ -484,12 +495,28 @@ def _old_fold_bayes(ruleset, txn):
     if not found:
         scoring._triggered(ruleset.rules, txn)
         resolve_ids(model, txn.triggered)
-    p_fraud = rescaled_posterior(model.prior_fraud, model.prior_genuine, found)
-    return p_fraud, p_fraud, 0.0, len(found)
+    return found
+
+
+def assert_near_exact(p_fraud, prior_fraud, prior_genuine, pairs):
+    """``p_fraud`` is within (2n + 4) * 2**-53 of the exact posterior relative
+    to it, for n pairs, where that posterior is a normal double: each class
+    product rounds once per pair, and the sum and the quotient once more. A
+    posterior below 2**-1022 may be off by a further half subnormal step."""
+    a, b = dyadic_posterior(prior_fraud, prior_genuine, pairs)
+    assert a + b, f"both exact products are zero, yet {p_fraud!r}"
+    numerator, denominator = p_fraud.as_integer_ratio()
+    # |p_fraud - exact| <= bound, both sides times (a + b) * denominator * 2**1075
+    error = abs(numerator * (a + b) - a * denominator) << 1075
+    bound = (2 * len(pairs) + 4) * a * denominator << 1022
+    if a << 1022 < a + b:  # the exact posterior is below 2**-1022
+        bound += (a + b) * denominator
+    assert error <= bound, (p_fraud, pairs[:6])
 
 
 # Exact 0 and 1, ints among them, and magnitudes down to 2**-400, so that
-# up to 300 factors take a product across 2**-600 and to zero.
+# up to 300 factors take a product far below the smallest double, where the
+# old rescaled loop is still exact, and to zero.
 _likelihood_values = st.one_of(
     st.sampled_from([0, 1, 0.0, 1.0, 2.0**-400, 0.5]),
     st.floats(0.0, 1.0),
@@ -504,8 +531,8 @@ _likelihood_values = st.one_of(
 # One class's likelihoods from 2**-400 to 2**-200 and the other's from
 # 2**-150 to 2**-50, under a prior near the middle. Three or more such steps
 # take one straight product subnormal or to zero while the other stays at or
-# above 2**-600 and the posterior stays a double: only the rescaled loop
-# keeps its bits. Were the other class near 1, the posterior would share the
+# above 2**-600 and the posterior stays a double: only a loop that carries
+# or rescales the exponent keeps its bits. Were the other class near 1, the posterior would share the
 # underflowed product's subnormal grid, and the straight quotient would
 # mostly agree with the loop's.
 _lopsided_palettes = st.lists(
@@ -544,19 +571,54 @@ def test_bayes_fold_equals_the_posterior_binary_fold(data):
         pool = st.one_of(pool, st.sampled_from(["R1", "R2", "X1"]))
     triggered = data.draw(st.lists(pool, max_size=300), label="triggered")  # with repeats
     txn = Transaction("t", triggered)
+    model = ruleset.combiner.model
+    priors = model.prior_fraud, model.prior_genuine
     try:
-        expected = _old_fold_bayes(ruleset, txn)
+        found = _found_pairs(ruleset, txn)
+        # The old rescaled loop is the bit-level reference wherever it is
+        # exact; elsewhere it rounded or underflowed, and the exact oracle is.
+        if rescaled_loop_is_exact(*priors, found):
+            p_fraud = rescaled_posterior(*priors, found)
+        else:
+            p_fraud = posterior_binary(*priors, found)
+            assert_near_exact(p_fraud, *priors, found)
     except FusionError as exc:
         with pytest.raises(type(exc)) as raised:
             scoring._fold(ruleset)(txn)
         assert str(raised.value) == str(exc)
     else:
         # repr tells every float apart, -0.0 from 0.0 included
-        assert repr(scoring._fold(ruleset)(txn)) == repr(expected)
+        assert repr(scoring._fold(ruleset)(txn)) == repr((p_fraud, p_fraud, 0.0, len(found)))
+
+
+# Priors and likelihoods from 1 down through the subnormals to 5e-324, and 0.
+_tiny_values = st.one_of(
+    st.sampled_from([0.0, 1.0, 5e-324, 2.0**-1022]),
+    st.floats(0.0, 1.0),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    priors=st.tuples(_tiny_values, _tiny_values),
+    palette=st.lists(st.tuples(_tiny_values, _tiny_values), min_size=1, max_size=6),
+    n_pairs=st.integers(1, 300),
+)
+@example(priors=(0.5, 0.5), palette=[(1e-300, 0.9), (0.9, 1e-300)], n_pairs=4)
+@example(priors=(2.2250738585e-313, 1.0), palette=[(3.87e-121, 0.0)], n_pairs=1)
+def test_posterior_binary_is_near_exact_down_to_the_smallest_subnormal(priors, palette, n_pairs):
+    pairs = [palette[i % len(palette)] for i in range(n_pairs)]
+    a, b = dyadic_posterior(*priors, pairs)
+    if not a + b:  # both exact products are zero
+        with pytest.raises(ZeroMarginal):
+            posterior_binary(*priors, pairs)
+    else:
+        assert_near_exact(posterior_binary(*priors, pairs), *priors, pairs)
 
 
 @pytest.mark.parametrize(
-    "pairs", [[(0.6, 0.2), (0.1, 0.4)], [(2.0**-10, 0.5)] * 80], ids=["straight", "rescaled"]
+    "pairs", [[(0.6, 0.2), (0.1, 0.4)], [(2.0**-10, 0.5)] * 120], ids=["straight", "rescaled"]
 )
 def test_posterior_binary_reads_a_generator_as_a_list(pairs):
     # The products read the pairs more than once.
