@@ -22,14 +22,7 @@ from .errors import LARGEST, DegenerateClass, FusionError, ParseError, TotalConf
 from .errors import in_range
 from .fileio import _read_batch, load_rule_config
 from .kernel import combine_binary
-from .scoring import (
-    DEMPSTER_MODES,
-    DempsterCombiner,
-    RuleSet,
-    ScoreReport,
-    SideRow,
-    score_batch,
-)
+from .scoring import DEMPSTER_MODES, DempsterCombiner, RuleSet, SideRow, SortRow, ranked_rows
 
 # load_batch, score and rank are no longer called here, but they stay module
 # attributes beside load_rule_config: bench/tracing.py wraps them by name.
@@ -59,7 +52,8 @@ _MODES = {name.removeprefix("ds-"): mode for name, mode in DEMPSTER_MODES.items(
 # One scored jsonl row up to its closing brace, as json.dumps prints the
 # record: the id JSON-escaped, floats by repr, bel's repr in both its field
 # and point_estimate's, the flags as JSON literals. A payload's JSON text is
-# spliced in after it as the last field.
+# spliced in after it as the last field. Each emitter prints ranked_rows's
+# rows: the rank is the position, bel and pl are the keys negated back.
 _JSONL_ROW = (
     '{"rank": %d, "id": %s, "bel_fraud": %s, "pl_fraud": %r, "point_estimate": %s, '
     '"conflict": %r, "n_sources": %d, "suspicious": %s, "confirmed": %s, "status": "scored"'
@@ -271,7 +265,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     # jsonl keeps one, as its encoded text.
     keep = json.dumps if args.output == "jsonl" else (lambda payload: None)
     with closing(_read_batch(args.batch, keep)) as transactions:
-        ranked, side = score_batch(ruleset, transactions)
+        rows, side = ranked_rows(ruleset, transactions)
     emit = {"table": _emit_table, "csv": _emit_csv, "jsonl": _emit_jsonl}[args.output]
     # The report is printed whole or not at all, so an unbuffered stdout
     # (python -u, PYTHONUNBUFFERED) is buffered while it prints: a system
@@ -280,11 +274,11 @@ def cmd_score(args: argparse.Namespace) -> int:
     if write_through:
         sys.stdout.reconfigure(write_through=False)
     try:
-        emit(ranked, side, ruleset.combiner.name, ruleset.threshold)
+        emit(rows, side, ruleset.combiner.name, ruleset.threshold)
     finally:
         if write_through:
             sys.stdout.reconfigure(write_through=True)
-    return 0 if ranked else 1
+    return 0 if rows else 1
 
 
 def _apply_overrides(ruleset: RuleSet, args: argparse.Namespace) -> RuleSet:
@@ -315,15 +309,10 @@ def _apply_overrides(ruleset: RuleSet, args: argparse.Namespace) -> RuleSet:
     return RuleSet(ruleset.rules, combiner, threshold)
 
 
-def _emit_table(
-    ranked: list[ScoreReport],
-    side: list[SideRow],
-    combiner_name: str,
-    threshold: float,
-) -> None:
+def _emit_table(rows: list[SortRow], side: list[SideRow], combiner: str, threshold: float) -> None:
     write = sys.stdout.write
-    write(f"combiner={combiner_name} threshold={threshold:.4f}\n")
-    ids = [_table_id(r.transaction_id) for r in ranked]
+    write(f"combiner={combiner} threshold={threshold:.4f}\n")
+    ids = [_table_id(row[2]) for row in rows]
     side_ids = [_table_id(t.id) for t, _, _ in side]
     id_width = max(map(len, ["id", *ids, *side_ids]))
     write(
@@ -331,11 +320,12 @@ def _emit_table(
         f"{'point':>9}  {'conflict':>9}  {'n':>3}  {'suspicious':>10}  "
         f"{'confirmed':>9}  status\n"
     )
-    row = f"%4d  %-{id_width}s  %9.4f  %9.4f  %9.4f  %9.4f  %3d  %10s  %9s  scored\n"
+    line = f"%4d  %-{id_width}s  %9.4f  %9.4f  %9.4f  %9.4f  %3d  %10s  %9s  scored\n"
     sys.stdout.writelines(
-        row % (r.rank, shown, r.bel_fraud, r.pl_fraud, r.point_estimate, r.conflict,
-               r.n_sources, _yesno(r.suspicious), _yesno(r.confirmed))
-        for r, shown in zip(ranked, ids)
+        line % (rank, shown, (bel := -neg_bel), (pl := -neg_pl), bel, conflict, n_sources,
+                "yes" if pl > threshold else "no", "yes" if bel > threshold else "no")
+        for rank, ((neg_bel, neg_pl, _, _, conflict, n_sources, _), shown)
+        in enumerate(zip(rows, ids), start=1)
     )
     for (txn, status, error_name), shown in zip(side, side_ids):
         marker = status if error_name is None else f"{status}:{error_name}"
@@ -351,21 +341,16 @@ def _table_id(txn_id: str) -> str:
     return txn_id if txn_id.isprintable() else encode_basestring_ascii(txn_id)[1:-1]
 
 
-def _emit_csv(
-    ranked: list[ScoreReport],
-    side: list[SideRow],
-    combiner_name: str,
-    threshold: float,
-) -> None:
+def _emit_csv(rows: list[SortRow], side: list[SideRow], combiner: str, threshold: float) -> None:
     write = sys.stdout.write
-    write(f"# combiner={combiner_name} threshold={threshold!r}\n")
+    write(f"# combiner={combiner} threshold={threshold!r}\n")
     write(_CSV_HEADER)
-    # Every report holds one float as both bel_fraud and point_estimate.
+    # bel's repr prints twice, as bel_fraud and point_estimate.
     sys.stdout.writelines(
-        _CSV_ROW % (rank, _csv_cell(txn_id), (bel := repr(bel_fraud)), pl_fraud, bel, conflict,
-                    n_sources, _json_bool(suspicious), _json_bool(confirmed))
-        for txn_id, bel_fraud, pl_fraud, _, conflict, n_sources, suspicious, confirmed, rank, _
-        in ranked
+        _CSV_ROW % (rank, _csv_cell(txn_id), (shown := repr(bel := -neg_bel)), (pl := -neg_pl),
+                    shown, conflict, n_sources, "true" if pl > threshold else "false",
+                    "true" if bel > threshold else "false")
+        for rank, (neg_bel, neg_pl, txn_id, _, conflict, n_sources, _) in enumerate(rows, start=1)
     )
     sys.stdout.writelines(
         _CSV_SIDE % (_csv_cell(txn.id), len(txn.triggered), status, error_name or "")
@@ -382,21 +367,17 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _emit_jsonl(
-    ranked: list[ScoreReport],
-    side: list[SideRow],
-    combiner_name: str,
-    threshold: float,
-) -> None:
+def _emit_jsonl(rows: list[SortRow], side: list[SideRow], combiner: str, threshold: float) -> None:
     write = sys.stdout.write
-    write(json.dumps({"combiner": combiner_name, "threshold": threshold}) + "\n")
-    for r in ranked:
+    write(json.dumps({"combiner": combiner, "threshold": threshold}) + "\n")
+    for rank, (neg_bel, neg_pl, txn_id, _, conflict, n_sources, payload) in enumerate(rows, 1):
+        bel, pl = -neg_bel, -neg_pl
         line = _JSONL_ROW % (
-            r.rank, encode_basestring_ascii(r.transaction_id), (bel := repr(r.bel_fraud)),
-            r.pl_fraud, bel, r.conflict, r.n_sources, _json_bool(r.suspicious),
-            _json_bool(r.confirmed),
+            rank, encode_basestring_ascii(txn_id), (shown := repr(bel)), pl, shown, conflict,
+            n_sources, "true" if pl > threshold else "false",
+            "true" if bel > threshold else "false",
         )
-        write(f'{line}, "payload": {r.payload}}}\n' if r.payload else f"{line}}}\n")
+        write(f'{line}, "payload": {payload}}}\n' if payload else f"{line}}}\n")
     for txn, status, error_name in side:
         record = {"id": txn.id, "n_sources": len(txn.triggered), "status": status}
         if error_name is not None:
@@ -405,14 +386,6 @@ def _emit_jsonl(
         if txn.payload:
             line = f'{line[:-1]}, "payload": {txn.payload}}}'
         write(line + "\n")
-
-
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _json_bool(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 # --- combine -----------------------------------------------------------

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from functools import partial
+from io import TextIOWrapper
 
 from .bayes import BayesModel, LabeledHistory
 from .errors import EmptyHistory, ParseError, clipped
@@ -26,12 +28,14 @@ def load_history_csv(path: str | os.PathLike) -> LabeledHistory:
     One row per trigger; transactions without triggers appear once with an
     empty rule_id. Rows may come in any order, and duplicate (txn, rule)
     rows collapse; conflicting labels for one transaction are an error.
-    A leading byte order mark is skipped. A transaction that comes back
-    after another one sends a seekable file back to the top (see
-    ``_count_history``); a pipe is read once.
+    A leading byte order mark is skipped; a NUL byte is an error. A
+    transaction that comes back after another one sends a seekable file back
+    to the top (see ``_count_history``); a pipe, or a file with NUL, is read once.
     """
     with _naming(path) as path, open(path, newline="", encoding="utf-8-sig") as handle:
-        counted = _count_history(handle, path, None if handle.seekable() else {})
+        read_once = not handle.seekable() or _holds_nul(handle)
+        lines = _refuse_nul(handle, path) if read_once else handle
+        counted = _count_history(lines, path, {} if read_once else None)
         if counted is None:  # a transaction came back
             handle.seek(0)
             counted = _count_history(handle, path, {})
@@ -42,6 +46,22 @@ def load_history_csv(path: str | os.PathLike) -> LabeledHistory:
     fraud_count = sum(1 for value in labels.values() if value == "fraud")
     evidence = dict(sorted(tallies.items()))  # [fraud, genuine] tallies, by id
     return LabeledHistory(total=total, fraud_count=fraud_count, evidence=evidence)
+
+
+def _holds_nul(handle: TextIOWrapper) -> bool:
+    """Whether a seekable handle's bytes hold NUL; it is back at the top after."""
+    found = any(b"\0" in block for block in iter(partial(handle.buffer.read, 1 << 20), b""))
+    handle.seek(0)
+    return found
+
+
+def _refuse_nul(lines: Iterable[str], path: str) -> Iterator[str]:
+    """The lines, raising Python 3.10's csv error at one holding NUL, which
+    later Pythons read as a character."""
+    for number, line in enumerate(lines, start=1):
+        if "\0" in line:
+            raise ParseError(f"{path}:{number}: line contains NUL")
+        yield line
 
 
 def _count_history(

@@ -285,6 +285,38 @@ def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
 
 
 SideRow = tuple[Transaction, str, str | None]
+SortRow = tuple[float, float, str, int, float, int, object]  # see ranked_rows
+
+
+def ranked_rows(
+    ruleset: RuleSet, transactions: Iterable[Transaction]
+) -> tuple[list[SortRow], list[SideRow]]:
+    """Fold and sort a batch: the ranking pass of :func:`score_batch` and of
+    ``scorefusion score``, which prints from the rows and builds no report.
+
+    Returns :func:`score_batch`'s side rows and, per scored transaction, a
+    row ``(-bel, -pl, id, count, conflict, n_sources, payload)``, sorted so
+    that its rank is its position. The count keeps equal keys in input order
+    and stops the comparison before the payload. A fold returning one float
+    as bel and pl, as a Bayes fold does, gets one negated float as both keys.
+    """
+    fold = _fold(ruleset)
+    rows: list[SortRow] = []
+    side: list[SideRow] = []
+    for txn in transactions:
+        if not txn.triggered:
+            side.append((txn, "skipped", None))
+            continue
+        try:
+            bel, pl, discarded, n_sources = fold(txn)
+        except FusionError as exc:
+            side.append((txn, "error", type(exc).__name__))
+            continue
+        neg_bel = -bel
+        rows.append((neg_bel, neg_bel if pl is bel else -pl, txn.id, len(rows), discarded,
+                     n_sources, txn.payload))
+    rows.sort()
+    return rows, side
 
 
 def score_batch(
@@ -296,26 +328,11 @@ def score_batch(
     transaction that scores, and the side rows of the rest in input order:
     ``(txn, "skipped", None)`` for one that triggered nothing and
     ``(txn, "error", error class name)`` for one whose scoring raised a
-    :class:`FusionError`. Each report is built once, already ranked.
+    :class:`FusionError`. Each report is built from its :func:`ranked_rows`
+    row, already ranked, and takes the row's place in the one list.
     """
-    fold = _fold(ruleset)
+    rows, side = ranked_rows(ruleset, transactions)
     threshold = ruleset.threshold
-    # Sort keys first; the running count keeps equal keys in input order and
-    # stops the comparison before the payload.
-    rows: list = []
-    side: list[SideRow] = []
-    for txn in transactions:
-        if not txn.triggered:
-            side.append((txn, "skipped", None))
-            continue
-        try:
-            bel, pl, discarded, n_sources = fold(txn)
-        except FusionError as exc:
-            side.append((txn, "error", type(exc).__name__))
-            continue
-        rows.append((-bel, -pl, txn.id, len(rows), discarded, n_sources, txn.payload))
-    rows.sort()
-    # Each row is replaced by its report, so the two lists never coexist.
     for index, (neg_bel, neg_pl, txn_id, _, discarded, n_sources, payload) in enumerate(rows):
         bel, pl = -neg_bel, -neg_pl
         rows[index] = _report(

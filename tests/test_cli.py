@@ -25,7 +25,10 @@ from scorefusion.history import load_history_csv
 from scorefusion.kernel import combine_binary
 from scorefusion.scoring import score_batch
 
+from golden.make import EXPECTED as GOLDEN_EXPECTED, cases
 from oracles import exact_posterior
+
+GOLDEN_CASES = cases()
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +156,28 @@ class TestFit:
         status, _, err = run_cli(capsys, "fit", history, str(tmp_path / "m.json"))
         assert status == 2
         assert ":3:" in err
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_a_nul_byte_exits_2_naming_its_line(self, capsys, tmp_path, source):
+        # Python 3.10's csv reader refuses NUL; later ones would read it into
+        # the rule id. Every Python gives 3.10's error.
+        data = b"txn_id,label,rule_id\nt1,fraud,R1\0\nt2,genuine,\n"
+        model = tmp_path / "m.json"
+        if source == "file":
+            history = str(tmp_path / "h.csv")
+            Path(history).write_bytes(data)
+            status, out, err = run_cli(capsys, "fit", history, str(model))
+        else:
+            read_end, write_end = os.pipe()
+            os.write(write_end, data)
+            os.close(write_end)
+            history = f"/dev/fd/{read_end}"
+            try:
+                status, out, err = run_cli(capsys, "fit", history, str(model))
+            finally:
+                os.close(read_end)
+        assert (status, out, err) == (2, "", f"error: {history}:2: line contains NUL\n")
+        assert not model.exists()
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         status, _, err = run_cli(
@@ -565,6 +590,25 @@ class TestScore:
 _NEEDS_BAYES = "{config}: --combiner bayes needs a config whose combiner is 'bayes'"
 _MODE_NOT_BAYES = "--mode does not apply to the bayes combiner"
 _MODE_NEEDS_DS = "--mode only applies to a Dempster combiner; use --combiner ds"
+
+
+@pytest.mark.parametrize("output", ["table", "csv", "jsonl"])
+@pytest.mark.parametrize("workload", ["triage-ds", "ingest-payload", "bayes-fit"])
+def test_score_prints_the_golden_report_without_building_a_report(
+    capsys, monkeypatch, workload, output
+):
+    """score prints from its sort rows: with every way scoring builds a
+    ScoreReport made to raise, it still prints the golden bytes."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("score built a ScoreReport")
+
+    monkeypatch.setattr(scoring, "_report", refuse)
+    monkeypatch.setattr(scoring, "ScoreReport", refuse)
+    case = f"{workload}.score.{output}"
+    status, out, err = run_cli(capsys, *GOLDEN_CASES[case])
+    assert (status, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN_EXPECTED / f"{case}.stdout").read_bytes()
 
 
 class TestOverrides:

@@ -347,7 +347,7 @@ class TestScoreBayesFold:
         report = score(ruleset, Transaction("t", ("E2", "E1", "E3")))
         assert report.point_estimate == posterior(model, ["E1", "E2", "E3"]).p_fraud
 
-    def test_rescaled_product_stays_bit_identical(self):
+    def test_small_normal_products_stay_bit_identical(self):
         # Both products end far below 1 yet stay normal (about 1e-240 and
         # 1e-235), so the fold must reproduce the direct product to the last
         # bit.
@@ -398,7 +398,7 @@ class TestScoreBayesFold:
         assert fraud / (fraud + genuine) != expected
         assert score(ruleset, Transaction("t", ("E3", "E1", "E2"))).point_estimate == expected
 
-    def test_a_product_rescaled_alone_keeps_a_normal_posterior(self):
+    def test_a_product_below_the_subnormals_keeps_a_normal_posterior(self):
         # The fraud product ends near 2**-1075, below the smallest subnormal,
         # and the genuine one near 2**-327, yet the posterior, about 7.8e-226,
         # is a normal double and keeps its bits.
@@ -618,7 +618,7 @@ def test_posterior_binary_is_near_exact_down_to_the_smallest_subnormal(priors, p
 
 
 @pytest.mark.parametrize(
-    "pairs", [[(0.6, 0.2), (0.1, 0.4)], [(2.0**-10, 0.5)] * 120], ids=["straight", "rescaled"]
+    "pairs", [[(0.6, 0.2), (0.1, 0.4)], [(2.0**-10, 0.5)] * 120], ids=["straight", "carried"]
 )
 def test_posterior_binary_reads_a_generator_as_a_list(pairs):
     # The products read the pairs more than once.
