@@ -1,9 +1,8 @@
 """What ``fit`` reads and writes: the labeled history CSV and the model file.
 
 Only ``fit`` loads this module, so a ``score`` process never compiles the
-``csv`` module or the history reader. Its names stay importable from
-:mod:`scorefusion.fileio`, which shares its naming scope, frame labels and
-model format with this module.
+``csv`` module or the history reader. It takes its naming scope, frame
+labels and model format from :mod:`scorefusion.fileio`.
 """
 
 from __future__ import annotations

@@ -123,8 +123,9 @@ class RuleSet(namedtuple("RuleSet", "rules combiner threshold triples pairs")):
     a Dempster combiner, ``triples`` holds each rule's stored masses for
     the closed-form fold. Under a Bayes combiner, ``pairs`` holds the
     model's (p_given_fraud, p_given_genuine) for each rule the model knows,
-    for the rescaled posterior product. Both are compiled from the other
-    fields, also under ``_replace``, and never passed in.
+    for ``posterior_binary``'s products, which carry their own exponents.
+    Both are compiled from the other fields, also under ``_replace``, and
+    never passed in.
     """
 
     __slots__ = ()

@@ -1,6 +1,23 @@
 import pytest
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--scorefusion-command",
+        metavar="COMMAND",
+        help="run the golden cases through COMMAND (an installed scorefusion, say), "
+        "with PYTHONPATH left as it is, instead of python -m scorefusion from src/",
+    )
+
+
+@pytest.fixture
+def scorefusion_command(request):
+    """The command the golden cases run, or None for ``python -m scorefusion``
+    from ``src/``."""
+    command = request.config.getoption("--scorefusion-command")
+    return [command] if command else None
+
+
 def history_csv_text() -> str:
     """A 30-transaction labeled history: 7 frauds, E1 fires on 4 frauds and
     6 genuines, E2 on 1 fraud and 2 genuines. Untriggered transactions get

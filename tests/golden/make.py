@@ -12,6 +12,14 @@ has ids that csv quotes, deep-bayes has long Bayes products and zero
 likelihoods, and tiny-bayes has likelihoods near and below the smallest
 normal double. A change that alters output on purpose reruns this script
 and records the change in CHANGES.md.
+
+Each case runs ``python -m scorefusion`` from ``src/`` by default. To check
+an installed command instead, give it to pytest::
+
+    python -m pytest tests/test_golden.py --scorefusion-command scorefusion
+
+The cases then run that command, a name on ``PATH`` or a path, with
+``PYTHONPATH`` left as it is, so they reach the package the command does.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ N_TXNS = 50
 HISTORY_TXNS = 100
 SMOOTHING = {"triage-ds": "0", "ingest-payload": "0.5", "bayes-fit": "1"}
 STATUS_FILE = "exit_codes.json"
+# Cases whose stdin is a pipe, and the file written into it.
+PIPED = {"bayes-fit.fit.pipe": GOLDEN / "bayes-fit" / "history.csv"}
 
 
 def cases() -> dict[str, list[str]]:
@@ -50,11 +60,15 @@ def cases() -> dict[str, list[str]]:
         runs[f"{name}.fit"] = ["fit", history, "model.json", "--smoothing", SMOOTHING[name]]
     runs["triage-ds.score.paper"] = [*runs["triage-ds.score.table"], "--mode", "paper"]
     runs["ingest-payload.score.standard"] = [*runs["ingest-payload.score.csv"], "--mode", "standard"]
+    # The bayes-fit history again, read once from a pipe (see PIPED).
+    runs["bayes-fit.fit.pipe"] = ["fit", "/dev/stdin", "model.json", "--smoothing", "1"]
     # Hand-written inputs: odd-ids has ids that csv must quote, jsonl escape
-    # and table escape or pad; deep-bayes has Bayes products that end below
-    # 2**-600 on either side or both, straight products, zero likelihoods and
-    # a ZeroMarginal row; tiny-bayes has products that pass below the smallest
-    # subnormal and come back, subnormal likelihoods and zero ones.
+    # and table escape or pad; deep-bayes has long Bayes products that end
+    # as low as 2**-1084 on either side or both, some of them below the
+    # smallest normal double, 2**-1022, where the fold carries the exponent,
+    # short straight products, zero likelihoods and a ZeroMarginal row;
+    # tiny-bayes has products that pass below the smallest subnormal and come
+    # back, subnormal likelihoods and zero ones.
     for name in ("odd-ids", "deep-bayes", "tiny-bayes"):
         inputs = [str(GOLDEN / name / "rules.json"), str(GOLDEN / name / "batch.jsonl")]
         for output in ("table", "csv", "jsonl"):
@@ -67,14 +81,28 @@ def cases() -> dict[str, list[str]]:
     return runs
 
 
-def run(argv: list[str], cwd: Path) -> tuple[int, dict[str, bytes]]:
+def run(
+    argv: list[str],
+    cwd: Path,
+    stdin: Path | None = None,
+    command: list[str] | None = None,
+) -> tuple[int, dict[str, bytes]]:
     """Run one case in ``cwd``, an empty directory: its exit code, and its
-    outputs by expected-file suffix (stdout, and the model a fit writes)."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    outputs by expected-file suffix (stdout, and the model a fit writes).
+
+    ``stdin``, if given, is written into the child's stdin through a pipe.
+    The child is ``command`` if given, run with the environment as it is;
+    otherwise it is ``python -m scorefusion`` with ``src/`` first on
+    ``PYTHONPATH``."""
+    env = None
+    if command is None:
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        command, env = [sys.executable, "-m", "scorefusion"], {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-m", "scorefusion", *argv],
+        [*command, *argv],
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
+        input=stdin.read_bytes() if stdin else None,
         capture_output=True,
         timeout=60,
     )
@@ -112,7 +140,7 @@ def make_expected() -> None:
     statuses = {}
     for name, argv in cases().items():
         with tempfile.TemporaryDirectory() as scratch:
-            statuses[name], outputs = run(argv, Path(scratch))
+            statuses[name], outputs = run(argv, Path(scratch), PIPED.get(name))
         for suffix, data in outputs.items():
             (EXPECTED / f"{name}{suffix}").write_bytes(data)
     (EXPECTED / STATUS_FILE).write_text(json.dumps(statuses, indent=1) + "\n", encoding="utf-8")

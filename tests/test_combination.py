@@ -1,10 +1,12 @@
 """Pairwise and n-ary combination, conflict measurement, and the two modes."""
 
+import re
+
 import pytest
 
 from scorefusion import CombinationMode, Frame, MassFunction, combine_all, combine_pair, conflict
 from scorefusion.errors import EmptyInput, FrameMismatch, ModeUnsupported, TotalConflict
-from scorefusion.kernel import combine_binary
+from scorefusion.kernel import TOTAL_CONFLICT_LIMIT, combine_binary
 
 from oracles import brute_combine, exact_binary_fold, exact_binary_pair
 
@@ -229,6 +231,24 @@ class TestCombineAll:
         assert all(result == results[0] for result in results)
         assert results[0].mass.mass(GENUINE) == 1.0
         assert results[0].step_conflicts == (1 - eps, 1 - eps)
+
+
+class TestCombineBinaryBoundaries:
+    def test_conflict_at_the_limit_is_total(self):
+        # K = 1.0 * L + 0.0 * 0.0 is the limit itself, not a rounding of it.
+        limit = TOTAL_CONFLICT_LIMIT
+        with pytest.raises(TotalConflict, match=re.escape(f"(K = {limit!r})")):
+            combine_binary([(1.0, 0.0, 0.0), (0.0, limit, 1.0 - limit)])
+
+    def test_plausibility_is_clamped_to_one(self):
+        # The pooled step ends with f + u = 1.0000000000000002; exactly, it is 1.
+        sources = [
+            (0.7509604317907619, 0.0, 0.24903956820923812),
+            (0.05787434341145847, 0.6083829409843456, 0.3337427156041959),
+        ]
+        (fraud, _, uncertain), _ = exact_binary_fold(sources, pooled=True)
+        _, pl, _ = combine_binary(sources, SIMPLIFIED)
+        assert pl == float(fraud + uncertain) == 1.0
 
 
 class TestClosure:

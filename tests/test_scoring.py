@@ -530,11 +530,12 @@ _likelihood_values = st.one_of(
 
 # One class's likelihoods from 2**-400 to 2**-200 and the other's from
 # 2**-150 to 2**-50, under a prior near the middle. Three or more such steps
-# take one straight product subnormal or to zero while the other stays at or
-# above 2**-600 and the posterior stays a double: only a loop that carries
-# or rescales the exponent keeps its bits. Were the other class near 1, the posterior would share the
-# underflowed product's subnormal grid, and the straight quotient would
-# mostly agree with the loop's.
+# take one straight product below the smallest normal double, 2**-1022, or
+# to zero, while the other stays far above it and the posterior stays a
+# double: only a loop that carries or rescales the exponent keeps its bits.
+# Were the other class near 1, the posterior would share the underflowed
+# product's subnormal grid, and the straight quotient would mostly agree
+# with the loop's.
 _lopsided_palettes = st.lists(
     st.tuples(
         st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-399, -200)),
