@@ -53,7 +53,7 @@ _MODES = {name.removeprefix("ds-"): mode for name, mode in DEMPSTER_MODES.items(
 # record: the id JSON-escaped, floats by repr, bel's repr in both its field
 # and point_estimate's, the flags as JSON literals. A payload's JSON text is
 # spliced in after it as the last field. Each emitter prints ranked_rows's
-# rows: the rank is the position, bel and pl are the keys negated back.
+# rows: the rank is the position, the other fields are as stored.
 _JSONL_ROW = (
     '{"rank": %d, "id": %s, "bel_fraud": %s, "pl_fraud": %r, "point_estimate": %s, '
     '"conflict": %r, "n_sources": %d, "suspicious": %s, "confirmed": %s, "status": "scored"'
@@ -322,9 +322,9 @@ def _emit_table(rows: list[SortRow], side: list[SideRow], combiner: str, thresho
     )
     line = f"%4d  %-{id_width}s  %9.4f  %9.4f  %9.4f  %9.4f  %3d  %10s  %9s  scored\n"
     sys.stdout.writelines(
-        line % (rank, shown, (bel := -neg_bel), (pl := -neg_pl), bel, conflict, n_sources,
+        line % (rank, shown, bel, pl, bel, conflict, n_sources,
                 "yes" if pl > threshold else "no", "yes" if bel > threshold else "no")
-        for rank, ((neg_bel, neg_pl, _, _, conflict, n_sources, _), shown)
+        for rank, ((bel, pl, _, conflict, n_sources, _), shown)
         in enumerate(zip(rows, ids), start=1)
     )
     for (txn, status, error_name), shown in zip(side, side_ids):
@@ -347,10 +347,10 @@ def _emit_csv(rows: list[SortRow], side: list[SideRow], combiner: str, threshold
     write(_CSV_HEADER)
     # bel's repr prints twice, as bel_fraud and point_estimate.
     sys.stdout.writelines(
-        _CSV_ROW % (rank, _csv_cell(txn_id), (shown := repr(bel := -neg_bel)), (pl := -neg_pl),
-                    shown, conflict, n_sources, "true" if pl > threshold else "false",
+        _CSV_ROW % (rank, _csv_cell(txn_id), (shown := repr(bel)), pl, shown, conflict,
+                    n_sources, "true" if pl > threshold else "false",
                     "true" if bel > threshold else "false")
-        for rank, (neg_bel, neg_pl, txn_id, _, conflict, n_sources, _) in enumerate(rows, start=1)
+        for rank, (bel, pl, txn_id, conflict, n_sources, _) in enumerate(rows, start=1)
     )
     sys.stdout.writelines(
         _CSV_SIDE % (_csv_cell(txn.id), len(txn.triggered), status, error_name or "")
@@ -370,8 +370,7 @@ def _csv_cell(text: str) -> str:
 def _emit_jsonl(rows: list[SortRow], side: list[SideRow], combiner: str, threshold: float) -> None:
     write = sys.stdout.write
     write(json.dumps({"combiner": combiner, "threshold": threshold}) + "\n")
-    for rank, (neg_bel, neg_pl, txn_id, _, conflict, n_sources, payload) in enumerate(rows, 1):
-        bel, pl = -neg_bel, -neg_pl
+    for rank, (bel, pl, txn_id, conflict, n_sources, payload) in enumerate(rows, 1):
         line = _JSONL_ROW % (
             rank, encode_basestring_ascii(txn_id), (shown := repr(bel)), pl, shown, conflict,
             n_sources, "true" if pl > threshold else "false",

@@ -7,6 +7,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import partial
+from operator import itemgetter
 
 from .errors import LARGEST, FusionError, InvalidValue, NoEvidence, UnknownRule, clipped
 from .errors import in_range, printable
@@ -277,16 +278,28 @@ def rank(reports: Sequence[ScoreReport]) -> list[ScoreReport]:
     """Order reports most-suspect first and assign 1-based ranks.
 
     Descending by belief, then plausibility, with ties broken by transaction
-    id ascending; the ordering is total, so it does not depend on input order.
+    id ascending. Only reports equal in all three keep their input order.
     """
-    ordered = sorted(
-        reports, key=lambda r: (-r.bel_fraud, -r.pl_fraud, r.transaction_id)
-    )
+    ordered = list(reports)
+    _rank_order(ordered, 1, 2, 0)
     return [r._replace(rank=position) for position, r in enumerate(ordered, start=1)]
 
 
+def _rank_order(rows: list, bel: int, pl: int, txn_id: int) -> None:
+    """Sort ``rows`` in place, most suspect first: by the field at ``bel``
+    descending, then ``pl`` descending, then ``txn_id`` ascending, and in
+    input order where all three tie.
+
+    Three stable sorts on one key each, least significant first, so no
+    comparison ever reaches a row's other fields, such as a dict payload.
+    """
+    rows.sort(key=itemgetter(txn_id))
+    rows.sort(key=itemgetter(pl), reverse=True)
+    rows.sort(key=itemgetter(bel), reverse=True)
+
+
 SideRow = tuple[Transaction, str, str | None]
-SortRow = tuple[float, float, str, int, float, int, object]  # see ranked_rows
+SortRow = tuple[float, float, str, float, int, object]  # see ranked_rows
 
 
 def ranked_rows(
@@ -296,10 +309,12 @@ def ranked_rows(
     ``scorefusion score``, which prints from the rows and builds no report.
 
     Returns :func:`score_batch`'s side rows and, per scored transaction, a
-    row ``(-bel, -pl, id, count, conflict, n_sources, payload)``, sorted so
-    that its rank is its position. The count keeps equal keys in input order
-    and stops the comparison before the payload. A fold returning one float
-    as bel and pl, as a Bayes fold does, gets one negated float as both keys.
+    row ``(bel, pl, id, conflict, n_sources, payload)``, sorted so that its
+    rank is its position. bel, pl, conflict and n_sources are the objects
+    the fold returned: a Bayes row holds one float as both bel and pl, and a
+    one-source Dempster row holds its rule's compiled ``m_fraud`` as bel.
+    Rows are ordered as :func:`rank` orders reports; rows equal in bel, pl
+    and id keep their input order.
     """
     fold = _fold(ruleset)
     rows: list[SortRow] = []
@@ -313,10 +328,8 @@ def ranked_rows(
         except FusionError as exc:
             side.append((txn, "error", type(exc).__name__))
             continue
-        neg_bel = -bel
-        rows.append((neg_bel, neg_bel if pl is bel else -pl, txn.id, len(rows), discarded,
-                     n_sources, txn.payload))
-    rows.sort()
+        rows.append((bel, pl, txn.id, discarded, n_sources, txn.payload))
+    _rank_order(rows, 0, 1, 2)
     return rows, side
 
 
@@ -334,8 +347,7 @@ def score_batch(
     """
     rows, side = ranked_rows(ruleset, transactions)
     threshold = ruleset.threshold
-    for index, (neg_bel, neg_pl, txn_id, _, discarded, n_sources, payload) in enumerate(rows):
-        bel, pl = -neg_bel, -neg_pl
+    for index, (bel, pl, txn_id, discarded, n_sources, payload) in enumerate(rows):
         rows[index] = _report(
             (txn_id, bel, pl, bel, discarded, n_sources, pl > threshold, bel > threshold,
              index + 1, payload)

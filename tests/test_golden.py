@@ -37,6 +37,23 @@ def test_case_matches_golden_unbuffered(name, tmp_path, monkeypatch, scorefusion
     _check_case(name, tmp_path, scorefusion_command)
 
 
+@pytest.mark.parametrize("hash_seed", ["1", "12345"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "triage-ds.score.csv",
+        "ingest-payload.score.jsonl",
+        "bayes-fit.score.table",
+        "odd-ids.score.table",
+    ],
+)
+def test_stdout_does_not_depend_on_the_hash_seed(
+    name, hash_seed, tmp_path, monkeypatch, scorefusion_command
+):
+    monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+    _check_case(name, tmp_path, scorefusion_command)
+
+
 def test_every_case_has_a_recorded_status():
     assert sorted(STATUSES) == sorted(CASES)
     assert sorted(set(STATUSES.values())) == [0, 1]  # combine.conflict exits 1

@@ -958,3 +958,54 @@ class TestScoreBatch:
 
     def test_empty_batch(self):
         assert score_batch(ds_ruleset([RuleSpec("A", 0.6, 0.1, 0.3)]), []) == ([], [])
+
+
+class TestRankedRows:
+    """The one ranking pass: a row per scored transaction, holding the fold's
+    own values, ordered as rank orders reports."""
+
+    def test_a_scored_row_holds_the_reports_fields(self):
+        ruleset = ds_ruleset([RuleSpec("A", 0.6, 0.1, 0.3), RuleSpec("B", 0.2, 0.5, 0.3)])
+        txn = Transaction("t", ("A", "B"), {"k": 1})
+        rows, side = scoring.ranked_rows(ruleset, [txn])
+        r = score(ruleset, txn)
+        assert side == []
+        assert rows == [(r.bel_fraud, r.pl_fraud, "t", r.conflict, r.n_sources, {"k": 1})]
+
+    def test_a_bayes_row_holds_one_float_as_bel_and_pl(self):
+        ruleset, model = TestScoreBayes.ruleset()
+        [row], _ = scoring.ranked_rows(ruleset, [Transaction("t", ("E1", "E2"))])
+        assert row[0] is row[1]
+        assert row[0] == posterior(model, {"E1", "E2"}).p_fraud
+
+    def test_a_one_source_dempster_row_holds_the_compiled_mass(self):
+        ruleset = ds_ruleset([RuleSpec("A", 0.6, 0.1, 0.3)])
+        [row], _ = scoring.ranked_rows(ruleset, [Transaction("t", ("A",))])
+        assert row[0] is ruleset.triples["A"][0]
+        assert row[1] == pytest.approx(0.9)
+
+    def test_full_ties_keep_input_order_and_never_compare_payloads(self):
+        ruleset = ds_ruleset([RuleSpec("A", 0.6, 0.1, 0.3), RuleSpec("B", 0.2, 0.5, 0.3)])
+        transactions = [
+            Transaction("dup", ("A",), {"seq": 2}),
+            Transaction("dup", ("B",), {"seq": 0}),
+            Transaction("dup", ("A",), {"seq": 1}),
+            Transaction("dup", ("A",), {"seq": 0}),
+        ]
+        rows, _ = scoring.ranked_rows(ruleset, transactions)
+        assert [row[5] for row in rows] == [{"seq": 2}, {"seq": 1}, {"seq": 0}, {"seq": 0}]
+        assert rows[-1][:2] == score(ruleset, transactions[1])[1:3]
+
+    def test_shuffled_ids_rank_as_sorted_ids_do(self):
+        specs = [RuleSpec(f"R{i}", *masses) for i, masses in enumerate(_TRIPLES)]
+        ruleset = ds_ruleset(specs)
+        rng = random.Random(11)
+        transactions = [
+            Transaction(f"t{i:03d}", rng.sample([spec.id for spec in specs], rng.randint(1, 3)))
+            for i in range(200)
+        ]
+        shuffled = transactions[:]
+        rng.shuffle(shuffled)
+        rows, _ = scoring.ranked_rows(ruleset, transactions)
+        assert scoring.ranked_rows(ruleset, shuffled)[0] == rows
+        assert rows == sorted(rows, key=lambda row: (-row[0], -row[1], row[2]))
