@@ -259,18 +259,10 @@ def masses_for(ruleset: RuleSet, txn: Transaction) -> list[MassFunction]:
 def score(ruleset: RuleSet, txn: Transaction) -> ScoreReport:
     """Fuse one transaction's triggered rules into a classified report."""
     bel, pl, discarded, n_sources = _fold(ruleset)(txn)
-    flags = classify(bel, pl, ruleset.threshold)
-    return ScoreReport(
-        txn.id,
-        bel,
-        pl,
-        bel,
-        discarded,
-        n_sources,
-        flags.suspicious,
-        flags.confirmed,
-        None,
-        txn.payload,
+    threshold = ruleset.threshold
+    return _report(
+        (txn.id, bel, pl, bel, discarded, n_sources, pl > threshold, bel > threshold,
+         None, txn.payload)
     )
 
 

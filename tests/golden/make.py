@@ -16,10 +16,13 @@ and records the change in CHANGES.md.
 Each case runs ``python -m scorefusion`` from ``src/`` by default. To check
 an installed command instead, give it to pytest::
 
-    python -m pytest tests/test_golden.py --scorefusion-command scorefusion
+    python -m pytest tests/test_golden.py tests/test_cli.py::TestModuleEntryPoint \
+        --scorefusion-command scorefusion
 
-The cases then run that command, a name on ``PATH`` or a path, with
-``PYTHONPATH`` left as it is, so they reach the package the command does.
+The cases, and the entry-point tests in ``tests/test_cli.py``, then run that
+command, a name on ``PATH`` or a path, with ``PYTHONPATH`` left as it is, so
+they reach the package the command does. :func:`launcher` starts every CLI
+child process the tests make.
 """
 
 from __future__ import annotations
@@ -81,6 +84,16 @@ def cases() -> dict[str, list[str]]:
     return runs
 
 
+def launcher(command: list[str] | None = None) -> tuple[list[str], dict[str, str]]:
+    """The argv prefix and environment that start the CLI in a child process:
+    ``command`` if given, with the environment as it is; otherwise
+    ``python -m scorefusion`` with ``src/`` first on ``PYTHONPATH``."""
+    if command is not None:
+        return list(command), dict(os.environ)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "scorefusion"], {**os.environ, "PYTHONPATH": path}
+
+
 def run(
     argv: list[str],
     cwd: Path,
@@ -91,15 +104,10 @@ def run(
     outputs by expected-file suffix (stdout, and the model a fit writes).
 
     ``stdin``, if given, is written into the child's stdin through a pipe.
-    The child is ``command`` if given, run with the environment as it is;
-    otherwise it is ``python -m scorefusion`` with ``src/`` first on
-    ``PYTHONPATH``."""
-    env = None
-    if command is None:
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        command, env = [sys.executable, "-m", "scorefusion"], {**os.environ, "PYTHONPATH": path}
+    The child is started as :func:`launcher` starts ``command``."""
+    prefix, env = launcher(command)
     proc = subprocess.run(
-        [*command, *argv],
+        [*prefix, *argv],
         cwd=cwd,
         env=env,
         input=stdin.read_bytes() if stdin else None,

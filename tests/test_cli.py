@@ -25,7 +25,7 @@ from scorefusion.history import load_history_csv
 from scorefusion.kernel import combine_binary
 from scorefusion.scoring import score_batch
 
-from golden.make import EXPECTED as GOLDEN_EXPECTED, cases
+from golden.make import EXPECTED as GOLDEN_EXPECTED, cases, launcher
 from oracles import exact_posterior
 
 GOLDEN_CASES = cases()
@@ -925,46 +925,57 @@ class TestCombine:
 
 
 class TestModuleEntryPoint:
-    """``python -m scorefusion`` runs the same CLI as the console script."""
+    """The CLI in a child process, started by ``golden.make.launcher``:
+    ``python -m scorefusion`` from ``src/``, or the command given with
+    ``--scorefusion-command``, such as the installed console script. Only
+    ``python -m scorefusion.cli`` always runs from ``src/``."""
 
     @staticmethod
-    def env():
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return {**os.environ, "PYTHONPATH": path}
-
-    @classmethod
-    def run_module(cls, *argv, cwd, module="scorefusion"):
+    def run(command, *argv, cwd):
+        prefix, env = launcher(command)
         return subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True,
-            text=True,
-            cwd=cwd,
-            env=cls.env(),
-            timeout=60,
+            [*prefix, *argv], capture_output=True, text=True, cwd=cwd, env=env, timeout=60
         )
 
-    def test_help(self, tmp_path):
-        proc = self.run_module("--help", cwd=tmp_path)
+    def test_help(self, tmp_path, scorefusion_command):
+        proc = self.run(scorefusion_command, "--help", cwd=tmp_path)
         assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: scorefusion ")
         assert "fit" in proc.stdout and "score" in proc.stdout
 
+    def test_usage_error_exits_2(self, tmp_path, scorefusion_command):
+        proc = self.run(scorefusion_command, "score", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: scorefusion score")
+
+    def test_usage_error_through_a_given_command(self, tmp_path, shim):
+        proc = self.run([str(shim)], "score", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("usage: scorefusion score")
+        assert shim.with_name("calls.log").read_text(encoding="utf-8") == "unset\n"
+
     def test_cli_module_help(self, tmp_path):
-        proc = self.run_module("--help", cwd=tmp_path, module="scorefusion.cli")
+        _, env = launcher()  # the module itself, so from src/ whatever the command
+        argv = [sys.executable, "-m", "scorefusion.cli", "--help"]
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: scorefusion ")
         assert "fit" in proc.stdout and "score" in proc.stdout
 
-    def test_score_prints_report(self, tmp_path, paper_mode_setup):
+    def test_score_prints_report(self, tmp_path, paper_mode_setup, scorefusion_command):
         config, batch = paper_mode_setup
-        proc = self.run_module("score", config, batch, cwd=tmp_path)
+        proc = self.run(scorefusion_command, "score", config, batch, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "combiner=ds-paper threshold=0.5000"
         assert len(lines) == 4 and lines[2].split()[:2] == ["1", "t-narrow"]
 
     @pytest.mark.parametrize("output", ["table", "csv", "jsonl"])
-    def test_closed_stdout_exits_141_quietly(self, tmp_path, paper_mode_setup, output):
+    def test_closed_stdout_exits_141_quietly(
+        self, tmp_path, paper_mode_setup, scorefusion_command, output
+    ):
         # The report is far larger than a pipe buffer, so the writer is still
         # writing when the reader goes away, as with `| head -1`. Each format
         # writes its rows through a different call.
@@ -973,12 +984,13 @@ class TestModuleEntryPoint:
             tmp_path / "big.jsonl",
             "".join(f'{{"id": "t{i}", "triggered": ["R1", "R2"]}}\n' for i in range(5000)),
         )
+        prefix, env = launcher(scorefusion_command)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "scorefusion", "score", config, batch, "--output", output],
+            [*prefix, "score", config, batch, "--output", output],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             cwd=tmp_path,
-            env=self.env(),
+            env=env,
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -994,7 +1006,7 @@ class TestModuleEntryPoint:
 
     @pytest.mark.parametrize("command", ["score", "fit", "combine", "help", "score-help"])
     def test_closed_stdout_exits_141_at_final_flush(
-        self, tmp_path, paper_mode_setup, history_csv, command
+        self, tmp_path, paper_mode_setup, history_csv, scorefusion_command, command
     ):
         # Block-buffered, a short output reaches the pipe only when stdout
         # is flushed on the way out; argparse prints --help and exits.
@@ -1005,13 +1017,13 @@ class TestModuleEntryPoint:
             "help": ["--help"],
             "score-help": ["score", "--help"],
         }[command]
-        env = self.env()
+        prefix, env = launcher(scorefusion_command)
         env.pop("PYTHONUNBUFFERED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "scorefusion", *argv],
+                [*prefix, *argv],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 cwd=tmp_path,
@@ -1255,7 +1267,7 @@ class TestInputBoundary:
             [sys.executable, "-c", script, config, json.dumps(batches)],
             capture_output=True,
             text=True,
-            env=TestModuleEntryPoint.env(),
+            env=launcher()[1],
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]

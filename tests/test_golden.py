@@ -2,12 +2,10 @@
 exits with the code that tests/golden/make.py recorded."""
 
 import json
-import shlex
-import sys
 
 import pytest
 
-from golden.make import EXPECTED, PIPED, SRC, STATUS_FILE, cases, run
+from golden.make import EXPECTED, PIPED, STATUS_FILE, cases, run
 
 CASES = cases()
 STATUSES = json.loads((EXPECTED / STATUS_FILE).read_text(encoding="utf-8"))
@@ -71,21 +69,11 @@ def test_fit_from_a_pipe_matches_fit_from_the_file():
         assert piped == (EXPECTED / f"bayes-fit.fit{suffix}").read_bytes(), suffix
 
 
-def test_cases_run_through_the_given_command(tmp_path, monkeypatch):
-    """Given a command, run runs it with PYTHONPATH left alone. The shim logs
-    the PYTHONPATH each call was given, then runs the package from src/."""
-    monkeypatch.delenv("PYTHONPATH", raising=False)
-    log, shim = tmp_path / "calls.log", tmp_path / "scorefusion"
-    shim.write_text(
-        "#!/bin/sh\n"
-        f'printf "%s\\n" "${{PYTHONPATH-unset}}" >> {shlex.quote(str(log))}\n'
-        f"PYTHONPATH={shlex.quote(str(SRC))} "
-        f'exec {shlex.quote(sys.executable)} -m scorefusion "$@"\n',
-        encoding="utf-8",
-    )
-    shim.chmod(0o755)
+def test_cases_run_through_the_given_command(tmp_path, shim):
+    """Given a command, run runs it with PYTHONPATH left alone."""
     names = ["triage-ds.score.csv", "bayes-fit.fit.pipe", "combine.conflict"]
     for name in names:
         (tmp_path / name).mkdir()
         _check_case(name, tmp_path / name, [str(shim)])
-    assert log.read_text(encoding="utf-8").splitlines() == ["unset"] * len(names)
+    calls = shim.with_name("calls.log").read_text(encoding="utf-8")
+    assert calls.splitlines() == ["unset"] * len(names)

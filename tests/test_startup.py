@@ -7,11 +7,9 @@ export when it is first read."""
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from importlib import import_module
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +17,7 @@ import scorefusion
 from scorefusion import bayes, cli, combination, evidence, fileio, kernel, scoring
 from scorefusion.history import load_history_csv, save_model
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from golden.make import SRC, launcher
 
 # Standard modules no command needs: dataclasses, and inspect, which it
 # imports, take longer to load than a one-transaction score takes to run.
@@ -46,12 +44,12 @@ print(json.dumps([statuses, sorted(sys.modules), sorted(set(sys.modules) - start
 
 
 def probe(*argvs, flags=()):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    _, env = launcher()  # the package from src/
     proc = subprocess.run(
         [sys.executable, *flags, "-c", PROBE, json.dumps(argvs)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
